@@ -13,8 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import _require_modulus, fib_mod
-from .subseq import CIRCLE_POINTS, parent_period
+from .core import _require_modulus
+from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, subsequence_period
 
 
 class NotAUnitError(ValueError):
@@ -152,20 +152,26 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
 def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
     """Find the alignment by trying all 120 (direction, shift) candidates.
 
-    Independent oracle for compute_shift: materializes the full 60-term
-    period and demands exactly one exact term-by-term match. Zero or
-    multiple matches raise OracleFailureError, since the parent period
-    contains exactly one adjacent (0, 1) pair in each direction.
+    Independent oracle for compute_shift: takes the full 60-term period
+    from the parent table (subsequence_period) and demands exactly one
+    exact match against a 60-term window of the parent period read
+    forward or in reverse. Zero or multiple matches raise
+    OracleFailureError, since the parent period contains exactly one
+    adjacent (0, 1) pair in each direction.
     """
     _require_unit(r)
     _require_start(k)
     parent = parent_period()
-    terms = [fib_mod(k + r * j, 10) for j in range(CIRCLE_POINTS)]
+    terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+    forward = parent + parent
+    # reverse[start + j] is parent[(shift - j) % 60] for start = 59 - shift
+    reverse = parent[::-1] * 2
     matches = []
     for shift in range(CIRCLE_POINTS):
-        if all(terms[j] == parent[(shift + j) % CIRCLE_POINTS] for j in range(CIRCLE_POINTS)):
+        if forward[shift : shift + CIRCLE_POINTS] == terms:
             matches.append((ShiftDirection.FORWARD, shift))
-        if all(terms[j] == parent[(shift - j) % CIRCLE_POINTS] for j in range(CIRCLE_POINTS)):
+        start = CIRCLE_POINTS - 1 - shift
+        if reverse[start : start + CIRCLE_POINTS] == terms:
             matches.append((ShiftDirection.REVERSE, shift))
     if len(matches) != 1:
         raise OracleFailureError(

@@ -11,10 +11,13 @@ from dataclasses import dataclass
 
 
 class InvalidModulusError(ValueError):
-    """Raised when a modulus smaller than 2 is supplied."""
+    """Raised when a modulus is not an int of at least 2."""
 
 
 def _require_modulus(m: int) -> None:
+    # an exact type test, so bool (an int subclass) is refused too
+    if type(m) is not int:
+        raise InvalidModulusError(f"modulus must be an int, got {m!r}")
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
 
@@ -40,6 +43,8 @@ def fib_mod(n: int, m: int) -> int:
     so one O(log |n|) fast-doubling pass covers the whole integer line.
     """
     _require_modulus(m)
+    if type(n) is not int:
+        raise ValueError(f"index n must be an int, got {n!r}")
     if n >= 0:
         return _fib_pair(n, m)[0]
     value = _fib_pair(-n, m)[0]
@@ -89,7 +94,8 @@ def pisano_period(m: int) -> PisanoPeriod:
         i += 1
         if (a, b) == (0, 1):
             break
-        assert i <= cap, "period scan exceeded the pigeonhole bound"
+        if i > cap:
+            raise RuntimeError("period scan exceeded the pigeonhole bound")
     return PisanoPeriod(modulus=m, length=i, period=tuple(residues))
 
 

@@ -33,6 +33,8 @@ class SubsequenceSpec:
     r: int
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int or type(self.r) is not int:
+            raise ValueError(f"k and r must be ints, got k={self.k!r}, r={self.r!r}")
         if not 0 <= self.k <= 59:
             raise ValueError(f"start index k must be in [0, 59], got {self.k}")
         if not 1 <= self.r <= 59:

@@ -209,6 +209,85 @@ def test_unreduced_shift_bug_is_caught(monkeypatch):
     assert "(k=0, r=1)" in result.detail
 
 
+def _fib_mod_wrong_at(n_bad, m_bad):
+    real = _checks.fib_mod
+
+    def buggy(n, m):
+        value = real(n, m)
+        return (value + 1) % m if (n, m) == (n_bad, m_bad) else value
+
+    return buggy
+
+
+def test_recurrence_bug_at_the_last_case_is_caught(monkeypatch):
+    # F(200) mod 30 is read only by the last case, n=198 with m=30
+    monkeypatch.setattr(_checks, "fib_mod", _fib_mod_wrong_at(200, 30))
+    result = _checks.check_fib_recurrence()
+    assert not result.passed
+    assert result.detail == "recurrence breaks at n=198, m=30"
+
+
+def test_reflection_bug_at_the_last_case_is_caught(monkeypatch):
+    monkeypatch.setattr(_checks, "fib_mod", _fib_mod_wrong_at(-200, 30))
+    result = _checks.check_negative_reflection()
+    assert not result.passed
+    assert result.detail == "reflection breaks at n=200, m=30"
+
+
+def test_index_addition_bug_at_the_last_case_is_caught(monkeypatch):
+    # F(120) is read only by the last case, a = b = 60
+    monkeypatch.setattr(_checks, "fib_mod", _fib_mod_wrong_at(120, 10))
+    result = _checks.check_index_addition()
+    assert not result.passed
+    assert result.detail == "addition identity breaks at a=60, b=60"
+
+
+def test_reversed_jump_bug_at_the_last_case_is_caught(monkeypatch):
+    real = _checks.subsequence_period
+
+    def buggy(spec):
+        period = real(spec)
+        if (spec.k, spec.r) != (59, 59):
+            return period
+        terms = ((period.terms[0] + 1) % 10,) + period.terms[1:]
+        return dataclasses.replace(period, terms=terms)
+
+    monkeypatch.setattr(_checks, "subsequence_period", buggy)
+    result = _checks.check_reversed_jumps()
+    assert not result.passed
+    # (59, 1) is the first pair whose reversed partner is the corrupted (59, 59)
+    assert "(k=59, r=1)" in result.detail
+
+
+def test_rotation_bug_at_the_last_scene_is_caught(monkeypatch):
+    # (1, 59) is the last scene the orbit walk builds: r = 59 walks 0, 59, ..., 1
+    real = _checks.build_scene
+
+    def buggy(spec, *args, **kwargs):
+        scene = real(spec, *args, **kwargs)
+        if (spec.k, spec.r) != (1, 59):
+            return scene
+        return dataclasses.replace(scene, edges=scene.edges[:-1])
+
+    monkeypatch.setattr(_checks, "build_scene", buggy)
+    result = _checks.check_rotation_equivalence()
+    assert not result.passed
+    assert "r=59)" in result.detail
+
+
+def test_oracle_bug_at_the_last_case_is_caught(monkeypatch):
+    real = _checks.brute_force_shift
+
+    def buggy(k, r):
+        direction, shift = real(k, r)
+        return (direction, (shift + 1) % 60) if (k, r) == (59, 59) else (direction, shift)
+
+    monkeypatch.setattr(_checks, "brute_force_shift", buggy)
+    result = _checks.check_alignment_agreement()
+    assert not result.passed
+    assert "(k=59, r=59)" in result.detail
+
+
 def test_reversed_orientation_is_caught(monkeypatch):
     monkeypatch.setattr(render, "_angle_degrees", lambda p: 90.0 + 6.0 * (p % 60))
     result = _checks.check_diagram_labels()

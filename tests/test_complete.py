@@ -14,7 +14,7 @@ from pisano_lab.complete import (
     unit_group,
 )
 from pisano_lab.core import InvalidModulusError, fib_mod
-from pisano_lab.subseq import SubsequenceSpec, parent_period, subsequence_period
+from pisano_lab.subseq import SubsequencePeriod, SubsequenceSpec, parent_period, subsequence_period
 
 from oracles import EXAMPLE_PERIOD_9_13, U60_FIB_VALUES, U60_INVERSES
 
@@ -231,8 +231,11 @@ def test_inverse_anchor_positions():
 
 
 def test_oracle_failure_without_an_alignment(monkeypatch):
-    # constant terms cannot match the parent period in either direction
-    monkeypatch.setattr(complete, "fib_mod", lambda n, m: 0)
+    # constant terms cannot match the parent period in either direction;
+    # only the oracle's term source is patched, not the parent table
+    monkeypatch.setattr(
+        complete, "subsequence_period", lambda spec: SubsequencePeriod(spec=spec, terms=(0,) * 60)
+    )
     with pytest.raises(OracleFailureError):
         brute_force_shift(0, 13)
 

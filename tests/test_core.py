@@ -47,7 +47,7 @@ def test_lucas_mod_matches_slow_iteration():
         assert lucas_mod(n, 10) == expected, n
 
 
-@pytest.mark.parametrize("bad", [1, 0, -5])
+@pytest.mark.parametrize("bad", [1, 0, -5, 10.0, 2.5, True])
 def test_invalid_modulus_rejected(bad):
     with pytest.raises(InvalidModulusError):
         fib_mod(3, bad)
@@ -55,6 +55,12 @@ def test_invalid_modulus_rejected(bad):
         lucas_mod(3, bad)
     with pytest.raises(InvalidModulusError):
         pisano_period(bad)
+
+
+@pytest.mark.parametrize("bad", [5.0, True, "5"])
+def test_non_int_index_rejected(bad):
+    with pytest.raises(ValueError):
+        fib_mod(bad, 10)
 
 
 @given(st.integers(-300, 300), st.integers(2, 80))

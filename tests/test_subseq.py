@@ -33,7 +33,9 @@ def test_parent_period_matches_reference():
     assert parent_period() == PARENT_PERIOD_10
 
 
-@pytest.mark.parametrize("k, r", [(-1, 5), (60, 5), (0, 0), (0, 60), (12, -3)])
+@pytest.mark.parametrize(
+    "k, r", [(-1, 5), (60, 5), (0, 0), (0, 60), (12, -3), (1.5, 2), (True, 2), (0, 7.0)]
+)
 def test_spec_validation(k, r):
     with pytest.raises(ValueError):
         SubsequenceSpec(k=k, r=r)
