@@ -2,19 +2,21 @@
 
 Each check covers one published property of the mod-10 subsequence
 structure at its full (desk-scale) range and reports the first
-counterexample it finds. The whole battery is a superset of the test
-suite's property checks and finishes in seconds.
+counterexample it finds; a bug in the code under test makes a check
+fail, never raise. These sweeps are the only copy of the exhaustive
+property checks: the test suite reads their results from one `verify`
+run and shows, with one seeded bug per check, that each check can fail.
+The whole battery finishes in seconds.
 
-The heavy sweeps do not repeat work. The `fib_mod` identity checks
-(recurrence, reflection, index addition) still take every value from
-`fib_mod`, but read each distinct argument once per check into a local
-table before testing the identity. The grid checks build each period or
-scene once per (k, r).
+The heavy sweeps do not repeat work: the `fib_mod` identity checks read
+each distinct argument from `fib_mod` once per check, and the grid
+checks build each period or scene once per (k, r).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .complete import brute_force_shift, compute_shift, first_zero_index, unit_group
@@ -49,8 +51,10 @@ def _fail(name: str, counterexample: str) -> CheckResult:
     return CheckResult(name=name, passed=False, detail=counterexample)
 
 
-def _units_60() -> tuple[int, ...]:
-    return unit_group(60).elements
+def _unit_cases() -> Iterator[tuple[int, int]]:
+    """Every (k, r) with r coprime to 60, k-major."""
+    units = unit_group(60).elements
+    return ((k, r) for k in range(60) for r in units)
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +82,20 @@ def check_negative_reflection() -> CheckResult:
     return _ok(name, "all n in [0, 200], m in [2, 30]")
 
 
-def check_parity_law() -> CheckResult:
-    name = "even-terms-at-multiples-of-3"
+def _zero_law(name: str, m: int, step: int, law: str) -> CheckResult:
+    """m divides F(n) exactly when step divides n, for n in [0, 1000]."""
     for n in range(0, 1001):
-        if (fib_mod(n, 2) == 0) != (n % 3 == 0):
-            return _fail(name, f"parity law breaks at n={n}")
+        if (fib_mod(n, m) == 0) != (n % step == 0):
+            return _fail(name, f"{law} breaks at n={n}")
     return _ok(name, "all n in [0, 1000]")
+
+
+def check_parity_law() -> CheckResult:
+    return _zero_law("even-terms-at-multiples-of-3", 2, 3, "parity law")
 
 
 def check_five_law() -> CheckResult:
-    name = "fives-at-multiples-of-5"
-    for n in range(0, 1001):
-        if (fib_mod(n, 5) == 0) != (n % 5 == 0):
-            return _fail(name, f"divisibility by 5 breaks at n={n}")
-    return _ok(name, "all n in [0, 1000]")
+    return _zero_law("fives-at-multiples-of-5", 5, 5, "divisibility by 5")
 
 
 def check_index_addition() -> CheckResult:
@@ -274,46 +278,41 @@ def check_dodecagon_tuples() -> CheckResult:
 # quasi recurrences
 
 
-def check_forward_guarantee() -> CheckResult:
-    name = "forward-recurrence-guarantee"
+def _recurrence_guarantee(name: str, residue: int, promised: QuasiClass) -> CheckResult:
+    """Every k, every r = residue (mod 4) with 3 not dividing r, obeys `promised`."""
     for r in range(1, 60):
-        if r % 4 != 1 or r % 3 == 0:
+        if r % 4 != residue or r % 3 == 0:
             continue
         for k in range(60):
             observed = verify_quasi(subsequence_period(SubsequenceSpec(k=k, r=r)))
-            if observed not in (QuasiClass.FORWARD, QuasiClass.BOTH):
+            if observed not in (promised, QuasiClass.BOTH):
                 return _fail(name, f"(k={k}, r={r}): observed {observed.value}")
-    return _ok(name, "all k, all r = 1 (mod 4) with 3 not dividing r")
+    return _ok(name, f"all k, all r = {residue} (mod 4) with 3 not dividing r")
+
+
+def check_forward_guarantee() -> CheckResult:
+    return _recurrence_guarantee("forward-recurrence-guarantee", 1, QuasiClass.FORWARD)
 
 
 def check_reverse_guarantee() -> CheckResult:
-    name = "reverse-recurrence-guarantee"
-    for r in range(1, 60):
-        if r % 4 != 3 or r % 3 == 0:
-            continue
-        for k in range(60):
-            observed = verify_quasi(subsequence_period(SubsequenceSpec(k=k, r=r)))
-            if observed not in (QuasiClass.REVERSE, QuasiClass.BOTH):
-                return _fail(name, f"(k={k}, r={r}): observed {observed.value}")
-    return _ok(name, "all k, all r = 3 (mod 4) with 3 not dividing r")
+    return _recurrence_guarantee("reverse-recurrence-guarantee", 3, QuasiClass.REVERSE)
+
+
+def _seed_identity(name: str, residue: int, sign: int) -> CheckResult:
+    """1 + F(1 - sign*r) = F(1 + sign*r) (mod 10) for r = residue (mod 4), 3 not dividing r."""
+    for r in range(1, 201):
+        if r % 4 == residue and r % 3 != 0:
+            if (1 + fib_mod(1 - sign * r, 10)) % 10 != fib_mod(1 + sign * r, 10):
+                return _fail(name, f"identity breaks at r={r}")
+    return _ok(name, f"all r = {residue} (mod 4), 3 not dividing r, up to 200")
 
 
 def check_forward_seed_identity() -> CheckResult:
-    name = "forward-seed-identity"
-    for r in range(1, 201):
-        if r % 4 == 1 and r % 3 != 0:
-            if (1 + fib_mod(1 - r, 10)) % 10 != fib_mod(r + 1, 10):
-                return _fail(name, f"identity breaks at r={r}")
-    return _ok(name, "all r = 1 (mod 4), 3 not dividing r, up to 200")
+    return _seed_identity("forward-seed-identity", 1, sign=1)
 
 
 def check_reverse_seed_identity() -> CheckResult:
-    name = "reverse-seed-identity"
-    for r in range(1, 201):
-        if r % 4 == 3 and r % 3 != 0:
-            if (1 + fib_mod(r + 1, 10)) % 10 != fib_mod(1 - r, 10):
-                return _fail(name, f"identity breaks at r={r}")
-    return _ok(name, "all r = 3 (mod 4), 3 not dividing r, up to 200")
+    return _seed_identity("reverse-seed-identity", 3, sign=-1)
 
 
 def check_negative_index_parity() -> CheckResult:
@@ -331,17 +330,15 @@ def check_negative_index_parity() -> CheckResult:
 
 def check_alignment_agreement() -> CheckResult:
     name = "alignment-oracle-agreement"
-    units = _units_60()
-    for k in range(60):
-        for r in units:
-            cert = compute_shift(k, r)
-            direction, shift = brute_force_shift(k, r)
-            if (cert.direction, cert.shift) != (direction, shift):
-                return _fail(
-                    name,
-                    f"(k={k}, r={r}): computed {cert.direction.value}:{cert.shift}, "
-                    f"oracle found {direction.value}:{shift}",
-                )
+    for k, r in _unit_cases():
+        cert = compute_shift(k, r)
+        direction, shift = brute_force_shift(k, r)
+        if (cert.direction, cert.shift) != (direction, shift):
+            return _fail(
+                name,
+                f"(k={k}, r={r}): computed {cert.direction.value}:{cert.shift}, "
+                f"oracle found {direction.value}:{shift}",
+            )
     return _ok(name, "all 960 (k, r) cases")
 
 
@@ -353,7 +350,7 @@ _UNIT_DIGIT_VALUES = {
 
 def check_unit_digit_law() -> CheckResult:
     name = "unit-digit-law"
-    for r in _units_60():
+    for r in unit_group(60).elements:
         value = fib_mod(r, 10)
         if value != _UNIT_DIGIT_VALUES[r]:
             return _fail(name, f"r={r}: F(r) mod 10 is {value}, expected {_UNIT_DIGIT_VALUES[r]}")
@@ -365,7 +362,7 @@ def check_unit_digit_law() -> CheckResult:
 
 def check_unit_values_are_units() -> CheckResult:
     name = "unit-values-are-units"
-    for r in _units_60():
+    for r in unit_group(60).elements:
         if fib_mod(r, 10) not in (1, 3, 7, 9):
             return _fail(name, f"r={r}: F(r) mod 10 is not a unit mod 10")
     return _ok(name, "all 16 units of U(60)")
@@ -376,60 +373,57 @@ _INVERSE_ANCHORS = {1: 0, 3: 15, 7: 45, 9: 30}
 
 def check_inverse_anchor_positions() -> CheckResult:
     name = "inverse-anchor-positions"
-    for r in _units_60():
-        base = _INVERSE_ANCHORS[fib_mod(r, 10)]
+    for r in unit_group(60).elements:
+        value = fib_mod(r, 10)
+        if value not in _INVERSE_ANCHORS:
+            return _fail(name, f"r={r}: F({r}) mod 10 is {value}, not a unit")
+        base = _INVERSE_ANCHORS[value]
         for anchor in (base - 1, base + 1):
-            if (fib_mod(anchor, 10) * fib_mod(r, 10)) % 10 != 1:
+            if (fib_mod(anchor, 10) * value) % 10 != 1:
                 return _fail(name, f"r={r}: F({anchor}) is not the inverse of F({r})")
     return _ok(name, "both anchor variants for all 16 units")
 
 
 def check_four_zeros() -> CheckResult:
     name = "four-equally-spaced-zeros"
-    units = _units_60()
-    for k in range(60):
-        for r in units:
-            terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
-            zeros = [j for j, value in enumerate(terms) if value == 0]
-            j0 = first_zero_index(k, r)
-            if zeros != [j0, j0 + 15, j0 + 30, j0 + 45]:
-                return _fail(name, f"(k={k}, r={r}): zeros at {zeros}")
+    for k, r in _unit_cases():
+        terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+        zeros = [j for j, value in enumerate(terms) if value == 0]
+        j0 = first_zero_index(k, r)
+        if zeros != [j0, j0 + 15, j0 + 30, j0 + 45]:
+            return _fail(name, f"(k={k}, r={r}): zeros at {zeros}")
     return _ok(name, "all 960 periods")
 
 
 def check_zero_subscripts() -> CheckResult:
     name = "zero-subscript-classes"
-    units = _units_60()
-    for k in range(60):
-        for r in units:
-            j0 = first_zero_index(k, r)
-            subscripts = {(k + r * (j0 + 15 * i)) % 60 for i in range(4)}
-            if subscripts != {0, 15, 30, 45}:
-                return _fail(name, f"(k={k}, r={r}): subscripts {sorted(subscripts)}")
+    for k, r in _unit_cases():
+        j0 = first_zero_index(k, r)
+        subscripts = {(k + r * (j0 + 15 * i)) % 60 for i in range(4)}
+        if subscripts != {0, 15, 30, 45}:
+            return _fail(name, f"(k={k}, r={r}): subscripts {sorted(subscripts)}")
     return _ok(name, "all 960 periods")
 
 
 def check_adjacent_zero_one() -> CheckResult:
     name = "adjacent-zero-one"
-    units = _units_60()
-    for k in range(60):
-        for r in units:
-            terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
-            if not any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)):
-                return _fail(name, f"(k={k}, r={r}): no adjacent 0, 1 pair")
+    for k, r in _unit_cases():
+        terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+        if not any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)):
+            return _fail(name, f"(k={k}, r={r}): no adjacent 0, 1 pair")
     return _ok(name, "all 960 periods")
 
 
 def check_first_zero_minimality() -> CheckResult:
     name = "first-zero-minimality"
-    units = _units_60()
-    for k in range(60):
-        for r in units:
-            terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
-            scanned = next(j for j, value in enumerate(terms) if value == 0)
-            computed = first_zero_index(k, r)
-            if computed != scanned:
-                return _fail(name, f"(k={k}, r={r}): computed {computed}, scan found {scanned}")
+    for k, r in _unit_cases():
+        terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+        scanned = next((j for j, value in enumerate(terms) if value == 0), None)
+        if scanned is None:
+            return _fail(name, f"(k={k}, r={r}): the period has no zero")
+        computed = first_zero_index(k, r)
+        if computed != scanned:
+            return _fail(name, f"(k={k}, r={r}): computed {computed}, scan found {scanned}")
     return _ok(name, "all 960 cases")
 
 

@@ -68,13 +68,9 @@ def index_log(u: int) -> int:
 
 
 def _require_unit(r: int) -> None:
-    if not (1 <= r < CIRCLE_POINTS and math.gcd(r, CIRCLE_POINTS) == 1):
-        raise NotAUnitError(f"jump size {r} is not an element of U(60)")
-
-
-def _require_start(k: int) -> None:
-    if not 0 <= k < CIRCLE_POINTS:
-        raise ValueError(f"start index k must be in [0, 59], got {k}")
+    # an exact type test, so a float or bool jump is not a unit either
+    if not (type(r) is int and 1 <= r < CIRCLE_POINTS and math.gcd(r, CIRCLE_POINTS) == 1):
+        raise NotAUnitError(f"jump size {r!r} is not an element of U(60)")
 
 
 def first_zero_index(k: int, r: int) -> int:
@@ -85,7 +81,7 @@ def first_zero_index(k: int, r: int) -> int:
     solution minimal.
     """
     _require_unit(r)
-    _require_start(k)
+    SubsequenceSpec(k=k, r=r)  # refuses a k that is not an int in [0, 59]
     return (pow(r, -1, 15) * -k) % 15
 
 
@@ -129,7 +125,7 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
     the shift stays in [0, 59].
     """
     _require_unit(r)
-    _require_start(k)
+    SubsequenceSpec(k=k, r=r)  # refuses a k that is not an int in [0, 59]
     forward = r % 4 == 1
     unit_digit = (r if forward else -r) % 10
     log_index = index_log(unit_digit)
@@ -160,7 +156,6 @@ def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
     adjacent (0, 1) pair in each direction.
     """
     _require_unit(r)
-    _require_start(k)
     parent = parent_period()
     terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
     forward = parent + parent

@@ -22,6 +22,12 @@ def _require_modulus(m: int) -> None:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
 
 
+def _require_index(n: int) -> None:
+    # an exact type test, so bool is refused too
+    if type(n) is not int:
+        raise ValueError(f"index n must be an int, got {n!r}")
+
+
 def _fib_pair(n: int, m: int) -> tuple[int, int]:
     """(F(n) mod m, F(n+1) mod m) for n >= 0, by iterative fast doubling."""
     a, b = 0, 1  # F(0), F(1)
@@ -43,8 +49,7 @@ def fib_mod(n: int, m: int) -> int:
     so one O(log |n|) fast-doubling pass covers the whole integer line.
     """
     _require_modulus(m)
-    if type(n) is not int:
-        raise ValueError(f"index n must be an int, got {n!r}")
+    _require_index(n)
     if n >= 0:
         return _fib_pair(n, m)[0]
     value = _fib_pair(-n, m)[0]
@@ -54,6 +59,7 @@ def fib_mod(n: int, m: int) -> int:
 def lucas_mod(n: int, m: int) -> int:
     """L(n) mod m, computed as F(n-1) + F(n+1) reduced mod m."""
     _require_modulus(m)
+    _require_index(n)
     return (fib_mod(n - 1, m) + fib_mod(n + 1, m)) % m
 
 
@@ -113,6 +119,7 @@ def residue_character(n: int) -> ResidueCharacter:
     F(n) mod 10 is 0 exactly when 15 divides n, and 5 exactly when 5
     divides n but 15 does not.
     """
+    _require_index(n)
     if n % 15 == 0:
         return ResidueCharacter.ZERO
     if n % 5 == 0:

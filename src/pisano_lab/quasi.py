@@ -32,6 +32,8 @@ def predict_quasi(r: int) -> QuasiPrediction:
     the reverse one. Everything else carries no guarantee: the two
     conditions are sufficient, not known to be necessary.
     """
+    if type(r) is not int:
+        raise ValueError(f"jump size r must be an int, got {r!r}")
     if not 1 <= r <= 59:
         raise ValueError(f"jump size r must be in [1, 59], got {r}")
     if r % 3 != 0:

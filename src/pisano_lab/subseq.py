@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .core import fib_mod, pisano_period
+from .core import _require_index, pisano_period
 
 CIRCLE_POINTS = 60  # period length of the Fibonacci sequence mod 10
 
@@ -99,19 +99,25 @@ def subsequence_period(spec: SubsequenceSpec) -> SubsequencePeriod:
     return SubsequencePeriod(spec=spec, terms=terms)
 
 
+def _fixed_jump_period(k: int, r: int) -> tuple[int, ...]:
+    _require_index(k)
+    # any int start lies on the circle after reduction mod 60
+    return subsequence_period(SubsequenceSpec(k=k % CIRCLE_POINTS, r=r)).terms
+
+
 def square_tuple(k: int) -> tuple[int, ...]:
     """The four terms F(k + 15j) mod 10, j = 0..3 (jump size 15)."""
-    return tuple(fib_mod(k + 15 * j, 10) for j in range(4))
+    return _fixed_jump_period(k, 15)
 
 
 def pentagon_tuple(k: int) -> tuple[int, ...]:
     """The five terms F(k + 12j) mod 10, j = 0..4 (jump size 12)."""
-    return tuple(fib_mod(k + 12 * j, 10) for j in range(5))
+    return _fixed_jump_period(k, 12)
 
 
 def dodecagon_tuple(k: int) -> tuple[int, ...]:
     """The twelve terms F(k + 5j) mod 10, j = 0..11 (jump size 5)."""
-    return tuple(fib_mod(k + 5 * j, 10) for j in range(12))
+    return _fixed_jump_period(k, 5)
 
 
 def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -5,7 +5,6 @@ with the generous limits the contract states. Run with -v to get one
 pass/fail line per criterion; each test also prints its own verdict.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -208,14 +207,9 @@ def test_criterion_10_render_goldens(capsys):
         report(10, "12 byte-stable frames in panel order plus the ten-edge figure")
 
 
-def test_criterion_11_verify_command(capsys):
-    start = time.perf_counter()
-    code = main(["verify", "--format", "json"])
-    elapsed = time.perf_counter() - start
-    out = capsys.readouterr().out
-    assert code == 0
-    assert elapsed < 60.0
-    payload = json.loads(out)
-    assert payload["verified"] is True
+def test_criterion_11_verify_command(capsys, verify_run):
+    assert verify_run.code == 0
+    assert verify_run.elapsed_s < 60.0
+    assert verify_run.report["verified"] is True
     with capsys.disabled():
-        report(11, f"verify exits 0 with every check green ({elapsed:.2f} s)")
+        report(11, f"verify exits 0 with every check green ({verify_run.elapsed_s:.2f} s)")

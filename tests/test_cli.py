@@ -1,12 +1,15 @@
-import dataclasses
 import json
+from pathlib import Path
 
-from pisano_lab import _checks, complete, render
+from pisano_lab import _checks
 from pisano_lab.cli import main
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
+from mutants import NAMED_MUTANTS, assert_caught
 from oracles import PARENT_PERIOD_10, PERIOD_MOD_8
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -125,21 +128,25 @@ def test_sweep_json_agrees_with_text(capsys):
     assert sum(1 for row in rows if row["shift"] is not None) == 960
 
 
-def test_verify_passes_and_reports_each_check(capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0
-    lines = out.splitlines()
+def test_verify_passes_and_reports_each_check(verify_run):
+    assert verify_run.code == 0
+    lines = verify_run.stdout.splitlines()
     assert lines[-1] == "verified: true"
     assert all(line.startswith("PASS ") for line in lines[:-1])
-    assert len(lines) > 20
+    assert len(lines) == len(_checks.ALL_CHECKS) + 1
+    # the text layout is pinned byte for byte
+    assert verify_run.stdout == (GOLDEN_DIR / "verify.txt").read_text(encoding="utf-8")
 
 
-def test_verify_json_shape(capsys):
-    code, out, _ = run(capsys, "verify", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
+def test_verify_json_shape(verify_run):
+    report = verify_run.report
+    assert report["command"] == "verify"
     assert report["verified"] is True
-    assert all(check["passed"] for check in report["results"]["checks"])
+    checks = report["results"]["checks"]
+    assert all(check["passed"] for check in checks)
+    # one JSON entry per text line, in the same order and with the same words
+    lines = verify_run.stdout.splitlines()[:-1]
+    assert [f"PASS {c['name']} ({c['detail']})" for c in checks] == lines
 
 
 def test_report_written_to_out_path(capsys, tmp_path):
@@ -194,101 +201,36 @@ def test_diagram_unwritable_path(capsys, tmp_path):
 
 
 def test_unreduced_shift_bug_is_caught(monkeypatch):
-    # simulate forgetting the final mod-60 reduction of the shift
-    real = complete.compute_shift
-
-    def buggy(k, r):
-        cert = real(k, r)
-        if cert.direction is complete.ShiftDirection.FORWARD:
-            return dataclasses.replace(cert, shift=60 - cert.restart_index)
-        return cert
-
-    monkeypatch.setattr(_checks, "compute_shift", buggy)
-    result = _checks.check_alignment_agreement()
-    assert not result.passed
-    assert "(k=0, r=1)" in result.detail
-
-
-def _fib_mod_wrong_at(n_bad, m_bad):
-    real = _checks.fib_mod
-
-    def buggy(n, m):
-        value = real(n, m)
-        return (value + 1) % m if (n, m) == (n_bad, m_bad) else value
-
-    return buggy
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_unreduced_shift_bug_is_caught"])
 
 
 def test_recurrence_bug_at_the_last_case_is_caught(monkeypatch):
-    # F(200) mod 30 is read only by the last case, n=198 with m=30
-    monkeypatch.setattr(_checks, "fib_mod", _fib_mod_wrong_at(200, 30))
-    result = _checks.check_fib_recurrence()
-    assert not result.passed
-    assert result.detail == "recurrence breaks at n=198, m=30"
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_recurrence_bug_at_the_last_case_is_caught"])
 
 
 def test_reflection_bug_at_the_last_case_is_caught(monkeypatch):
-    monkeypatch.setattr(_checks, "fib_mod", _fib_mod_wrong_at(-200, 30))
-    result = _checks.check_negative_reflection()
-    assert not result.passed
-    assert result.detail == "reflection breaks at n=200, m=30"
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_reflection_bug_at_the_last_case_is_caught"])
 
 
 def test_index_addition_bug_at_the_last_case_is_caught(monkeypatch):
-    # F(120) is read only by the last case, a = b = 60
-    monkeypatch.setattr(_checks, "fib_mod", _fib_mod_wrong_at(120, 10))
-    result = _checks.check_index_addition()
-    assert not result.passed
-    assert result.detail == "addition identity breaks at a=60, b=60"
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_index_addition_bug_at_the_last_case_is_caught"])
 
 
 def test_reversed_jump_bug_at_the_last_case_is_caught(monkeypatch):
-    real = _checks.subsequence_period
-
-    def buggy(spec):
-        period = real(spec)
-        if (spec.k, spec.r) != (59, 59):
-            return period
-        terms = ((period.terms[0] + 1) % 10,) + period.terms[1:]
-        return dataclasses.replace(period, terms=terms)
-
-    monkeypatch.setattr(_checks, "subsequence_period", buggy)
-    result = _checks.check_reversed_jumps()
-    assert not result.passed
-    # (59, 1) is the first pair whose reversed partner is the corrupted (59, 59)
-    assert "(k=59, r=1)" in result.detail
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_reversed_jump_bug_at_the_last_case_is_caught"])
 
 
 def test_rotation_bug_at_the_last_scene_is_caught(monkeypatch):
-    # (1, 59) is the last scene the orbit walk builds: r = 59 walks 0, 59, ..., 1
-    real = _checks.build_scene
-
-    def buggy(spec, *args, **kwargs):
-        scene = real(spec, *args, **kwargs)
-        if (spec.k, spec.r) != (1, 59):
-            return scene
-        return dataclasses.replace(scene, edges=scene.edges[:-1])
-
-    monkeypatch.setattr(_checks, "build_scene", buggy)
-    result = _checks.check_rotation_equivalence()
-    assert not result.passed
-    assert "r=59)" in result.detail
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_rotation_bug_at_the_last_scene_is_caught"])
 
 
 def test_oracle_bug_at_the_last_case_is_caught(monkeypatch):
-    real = _checks.brute_force_shift
-
-    def buggy(k, r):
-        direction, shift = real(k, r)
-        return (direction, (shift + 1) % 60) if (k, r) == (59, 59) else (direction, shift)
-
-    monkeypatch.setattr(_checks, "brute_force_shift", buggy)
-    result = _checks.check_alignment_agreement()
-    assert not result.passed
-    assert "(k=59, r=59)" in result.detail
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_oracle_bug_at_the_last_case_is_caught"])
 
 
 def test_reversed_orientation_is_caught(monkeypatch):
-    monkeypatch.setattr(render, "_angle_degrees", lambda p: 90.0 + 6.0 * (p % 60))
-    result = _checks.check_diagram_labels()
-    assert not result.passed
+    assert_caught(monkeypatch, NAMED_MUTANTS["test_reversed_orientation_is_caught"])
+
+
+def test_every_named_mutant_has_a_test():
+    assert all(callable(globals().get(name)) for name in NAMED_MUTANTS)

@@ -79,17 +79,7 @@ def test_first_zero_for_zero_start():
         assert first_zero_index(0, r) == 0, r
 
 
-def test_first_zero_is_minimal_and_hits_zero():
-    for k in range(60):
-        for r in UNITS_60:
-            j0 = first_zero_index(k, r)
-            terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
-            assert terms[j0] == 0, (k, r)
-            assert all(terms[j] != 0 for j in range(j0)), (k, r)
-            assert 0 <= j0 <= 14
-
-
-@pytest.mark.parametrize("bad_r", [2, 6, 15, 60, 0])
+@pytest.mark.parametrize("bad_r", [2, 6, 15, 60, 0, 1.0, True])
 def test_non_units_rejected(bad_r):
     with pytest.raises(NotAUnitError):
         first_zero_index(0, bad_r)
@@ -104,6 +94,11 @@ def test_start_index_range_checked():
         compute_shift(60, 13)
     with pytest.raises(ValueError):
         first_zero_index(-1, 13)
+    for bad_k in (1.0, True):
+        with pytest.raises(ValueError):
+            compute_shift(bad_k, 7)
+        with pytest.raises(ValueError):
+            first_zero_index(bad_k, 7)
 
 
 def test_worked_example_certificate():
@@ -145,13 +140,6 @@ def test_brute_force_examples(k, r, expected):
     assert brute_force_shift(k, r) == expected
 
 
-def test_algorithm_agrees_with_oracle_on_all_cases():
-    for k in range(60):
-        for r in UNITS_60:
-            cert = compute_shift(k, r)
-            assert (cert.direction, cert.shift) == brute_force_shift(k, r), (k, r)
-
-
 def test_certificate_invariants_hold_everywhere():
     for k in range(60):
         for r in UNITS_60:
@@ -183,29 +171,6 @@ def test_shift_reproduces_every_term():
                 assert all(terms[j] == parent[(cert.shift - j) % 60] for j in range(60)), (k, r)
 
 
-def test_four_equally_spaced_zeros():
-    for k in range(60):
-        for r in UNITS_60:
-            terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
-            zeros = [j for j, value in enumerate(terms) if value == 0]
-            assert zeros == [zeros[0] + 15 * i for i in range(4)], (k, r)
-
-
-def test_zero_subscripts_cover_the_quarter_points():
-    for k in range(60):
-        for r in UNITS_60:
-            j0 = first_zero_index(k, r)
-            subscripts = {(k + r * (j0 + 15 * i)) % 60 for i in range(4)}
-            assert subscripts == {0, 15, 30, 45}, (k, r)
-
-
-def test_every_unit_period_contains_adjacent_zero_one():
-    for k in range(60):
-        for r in UNITS_60:
-            terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
-            assert any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)), (k, r)
-
-
 def test_unit_fib_values_match_published_table():
     for r, expected in U60_FIB_VALUES.items():
         assert fib_mod(r, 10) == expected, r
@@ -215,19 +180,6 @@ def test_unit_digit_sign_law():
     for r in UNITS_60:
         expected = r % 10 if r % 4 == 1 else (-r) % 10
         assert fib_mod(r, 10) == expected, r
-
-
-def test_unit_fib_values_are_units():
-    for r in UNITS_60:
-        assert fib_mod(r, 10) in (1, 3, 7, 9), r
-
-
-def test_inverse_anchor_positions():
-    anchors = {1: 0, 3: 15, 7: 45, 9: 30}
-    for r in UNITS_60:
-        base = anchors[fib_mod(r, 10)]
-        for anchor in (base - 1, base + 1):
-            assert (fib_mod(anchor, 10) * fib_mod(r, 10)) % 10 == 1, (r, anchor)
 
 
 def test_oracle_failure_without_an_alignment(monkeypatch):
