@@ -3,18 +3,22 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 I/O failure. Every command prints plain text by default and the same
 content as JSON with --format json; --out writes the JSON report to a
-file (for diagram, --out is the SVG target instead).
+file (for diagram, --out is the SVG target instead). A JSON report is
+`json.dumps(report, indent=2)` byte for byte, and --out writes those
+bytes plus a newline.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, Iterable
 
+# imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
 from .complete import ShiftCertificate, compute_shift
 from .core import pisano_period
@@ -32,14 +36,67 @@ def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _emit(report: dict, text_lines: list[str], args: argparse.Namespace, *, report_out: bool = True) -> None:
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
+# Each scalar a report holds, mapped to a C-level function that encodes it as
+# json.dumps does; containers are walked by _dumps, anything else is refused.
+_SCALAR_ENCODERS: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _dumps(value: object, newline: str = "\n") -> str:
+    """The bytes of `json.dumps(value, indent=2)` for dicts with str keys,
+    lists, str, int, bool and None; any other type raises TypeError.
+
+    The stdlib takes its pure-Python encoder whenever `indent` is set, with
+    one generator call per value. Here only containers recurse: scalars are
+    encoded in the loop of their container, and an all-int list in one join.
+    """
+    encode = _SCALAR_ENCODERS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is list and set(map(type, value)) == {int}:
+        body = map(int.__repr__, value)
     else:
-        print("\n".join(text_lines))
+        body = [
+            scalar(item) if (scalar := _SCALAR_ENCODERS.get(type(item))) else _dumps(item, inner)
+            for item in (value.values() if kind is dict else value)
+        ]
+    if kind is list:
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    # encode_basestring_ascii raises TypeError on a key that is not a str
+    body = map("{}: {}".format, map(encode_basestring_ascii, value), body)
+    return "{" + inner + ("," + inner).join(body) + newline + "}"
+
+
+def _emit(
+    report: dict,
+    text_lines: Callable[[], Iterable[str]],
+    args: argparse.Namespace,
+    *,
+    report_out: bool = True,
+) -> None:
+    """Print the report as JSON or as the text lines, built only in text mode.
+
+    The report is encoded at most once: stdout and --out get the same bytes.
+    """
     # for diagram, --out names the SVG target, not a report file
-    if report_out and args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_out = report_out and args.out
+    encoded = _dumps(report) if args.format == "json" or write_out else None
+    if args.format == "json":
+        print(encoded)
+    else:
+        print("\n".join(text_lines()))
+    if write_out:
+        Path(args.out).write_text(encoded + "\n", encoding="utf-8")
 
 
 def cmd_period(args: argparse.Namespace) -> int:
@@ -56,11 +113,10 @@ def cmd_period(args: argparse.Namespace) -> int:
         "inputs": {"m": m},
         "results": {"length": result.length, "period": list(result.period)},
     }
-    text = [
-        f"modulus: {m}",
-        f"length: {result.length}",
-        "period: " + " ".join(str(v) for v in result.period),
-    ]
+
+    def text() -> list[str]:
+        return [f"modulus: {m}", f"length: {result.length}", "period: " + " ".join(map(str, result.period))]
+
     _emit(report, text, args)
     return EXIT_OK
 
@@ -98,30 +154,40 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "certificate": _certificate_dict(cert) if cert else None,
         },
     }
-    text = [
-        f"k: {spec.k}",
-        f"r: {spec.r}",
-        f"n: {poly.n}",
-        f"q: {poly.q}",
-        f"type: {poly.diagram_type.value}",
-        f"convex: {_bool_text(poly.convex)}",
-        "terms: " + " ".join(str(v) for v in period.terms),
-        f"quasi: {observed.value}",
-        f"prediction: {predicted.value}",
-    ]
-    if cert:
-        text.append("certificate:")
-        for key, value in _certificate_dict(cert).items():
-            text.append(f"  {key}: {value}")
-    else:
-        text.append("certificate: none")
+
+    def text() -> list[str]:
+        lines = [
+            f"k: {spec.k}",
+            f"r: {spec.r}",
+            f"n: {poly.n}",
+            f"q: {poly.q}",
+            f"type: {poly.diagram_type.value}",
+            f"convex: {_bool_text(poly.convex)}",
+            "terms: " + " ".join(str(v) for v in period.terms),
+            f"quasi: {observed.value}",
+            f"prediction: {predicted.value}",
+        ]
+        if cert:
+            lines.append("certificate:")
+            lines.extend(f"  {key}: {value}" for key, value in _certificate_dict(cert).items())
+        else:
+            lines.append("certificate: none")
+        return lines
+
     _emit(report, text, args)
     return EXIT_OK
 
 
+def _sweep_line(row: dict) -> str:
+    shift_text = "-" if row["direction"] is None else f"{row['direction']}:{row['shift']}"
+    return (
+        f"k={row['k']} r={row['r']} n={row['n']} q={row['q']} type={row['type']} "
+        f"quasi={row['quasi']} prediction={row['prediction']} shift={shift_text}"
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
-    text = []
     for k in range(CIRCLE_POINTS):
         for r in range(1, CIRCLE_POINTS):
             spec = SubsequenceSpec(k=k, r=r)
@@ -131,9 +197,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if math.gcd(r, CIRCLE_POINTS) == 1:
                 cert = compute_shift(k, r)
                 direction, shift = cert.direction.value, cert.shift
-                shift_text = f"{direction}:{shift}"
             else:
-                direction, shift, shift_text = None, None, "-"
+                direction, shift = None, None
             rows.append(
                 {
                     "k": k,
@@ -147,16 +212,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "shift": shift,
                 }
             )
-            text.append(
-                f"k={k} r={r} n={poly.n} q={poly.q} type={poly.diagram_type.value} "
-                f"quasi={observed.value} prediction={predicted.value} shift={shift_text}"
-            )
     report = {
         "command": "sweep",
         "inputs": {},
         "results": {"row_count": len(rows), "rows": rows},
     }
-    _emit(report, text, args)
+    _emit(report, lambda: map(_sweep_line, rows), args)
     return EXIT_OK
 
 
@@ -173,13 +234,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         },
         "verified": verified,
     }
-    text = []
-    for result in results:
-        if result.passed:
-            text.append(f"PASS {result.name} ({result.detail})")
-        else:
-            text.append(f"FAIL {result.name}: {result.detail}")
-    text.append(f"verified: {_bool_text(verified)}")
+
+    def text() -> list[str]:
+        lines = [
+            f"PASS {result.name} ({result.detail})" if result.passed else f"FAIL {result.name}: {result.detail}"
+            for result in results
+        ]
+        lines.append(f"verified: {_bool_text(verified)}")
+        return lines
+
     _emit(report, text, args)
     return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
 
@@ -210,8 +273,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         "inputs": {"k": spec.k, "r": spec.r, "steps": args.steps, "frames": args.frames},
         "results": results,
     }
-    text = [f"wrote {path}" for path in files]
-    _emit(report, text, args, report_out=False)
+    _emit(report, lambda: (f"wrote {path}" for path in files), args, report_out=False)
     return EXIT_OK
 
 

@@ -92,13 +92,14 @@ def pisano_period(m: int) -> PisanoPeriod:
     _require_modulus(m)
     cap = 2 * (m * m - 1) + 2
     residues = []
+    append = residues.append
     a, b = 0, 1  # F(i), F(i+1)
     i = 0
     while True:
-        residues.append(a)
+        append(a)
         a, b = b, (a + b) % m
         i += 1
-        if (a, b) == (0, 1):
+        if a == 0 and b == 1:
             break
         if i > cap:
             raise RuntimeError("period scan exceeded the pigeonhole bound")

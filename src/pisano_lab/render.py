@@ -69,11 +69,16 @@ def build_scene(
 
     Edge j connects circle indices (k + r*j) mod 60 and (k + r*(j+1))
     mod 60. A step_limit in [1, n] keeps only the first edges, as in the
-    step-by-step construction frames.
+    step-by-step construction frames; any other step_limit, or one that is
+    not an int, raises ValueError.
     """
     n = star_polygon(spec).n
-    if step_limit is not None and not 1 <= step_limit <= n:
-        raise ValueError(f"step_limit must be in [1, {n}], got {step_limit}")
+    if step_limit is not None:
+        # an exact type test, so bool (an int subclass) is refused too
+        if type(step_limit) is not int:
+            raise ValueError(f"step_limit must be an int, got {step_limit!r}")
+        if not 1 <= step_limit <= n:
+            raise ValueError(f"step_limit must be in [1, {n}], got {step_limit}")
     count = n if step_limit is None else step_limit
     edges = tuple(
         (

@@ -1,8 +1,17 @@
+import contextlib
+import enum
+import functools
+import hashlib
+import io
 import json
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from pisano_lab import _checks
-from pisano_lab.cli import main
+from pisano_lab.cli import _dumps, main
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
@@ -16,6 +25,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def run_once(tmp_path_factory):
+    """Run a command at most once per module, with --out; gives (code, stdout, --out bytes)."""
+    out_dir = tmp_path_factory.mktemp("reports")
+
+    @functools.cache
+    def run_command(*argv):
+        target = out_dir / f"{'_'.join(argv)}.json"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--out", str(target)])
+        return code, stdout.getvalue(), target.read_bytes()
+
+    return run_command
 
 
 def test_period_text(capsys):
@@ -97,8 +122,8 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-def test_sweep_counts(capsys):
-    code, out, _ = run(capsys, "sweep")
+def test_sweep_counts(run_once):
+    code, out, _ = run_once("sweep")
     assert code == 0
     rows = out.splitlines()
     assert len(rows) == 3540
@@ -113,8 +138,8 @@ def test_sweep_counts(capsys):
     assert by_type == {"Type1": 19 * 60, "Type2": 24 * 60, "Type3": 16 * 60}
 
 
-def test_sweep_json_agrees_with_text(capsys):
-    code, out, _ = run(capsys, "sweep", "--format", "json")
+def test_sweep_json_agrees_with_text(run_once):
+    code, out, _ = run_once("sweep", "--format", "json")
     assert code == 0
     report = json.loads(out)
     rows = report["results"]["rows"]
@@ -149,12 +174,85 @@ def test_verify_json_shape(verify_run):
     assert [f"PASS {c['name']} ({c['detail']})" for c in checks] == lines
 
 
-def test_report_written_to_out_path(capsys, tmp_path):
+def test_report_written_to_out_path(capsys, tmp_path, run_once):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "classify", "--k", "3", "--r", "25", "--out", str(target))
     assert code == 0
     report = json.loads(target.read_text())
     assert report["results"]["n"] == 12
+    # in JSON mode the file holds exactly the bytes printed to stdout
+    for argv in (("period", "8"), ("sweep",)):
+        code, out, written = run_once(*argv, "--format", "json")
+        assert code == 0
+        assert written == out.encode("utf-8")
+
+
+# sha256 and length of the stdout of three commands; a change to these bytes
+# must be deliberate
+PINNED_STDOUT = [
+    (("sweep", "--format", "json"), "7495a0e6c02d6bcfc987779415c6ad196df37c53eeec7805b77bc04678c761ea", 789_349),
+    (("sweep",), "578d5330fbf56c049ac7620fab2302c7201856ff0018e14d89b7c64022968cc2", 271_086),
+    (
+        ("period", "--m", "6250", "--format", "json"),
+        "12e97cfe091866ec2406a8fb258749a72a1c1096563c0c02ef04e3965a3411fa",
+        443_461,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest, size", PINNED_STDOUT, ids=[" ".join(a) for a, _, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(run_once, argv, digest, size):
+    code, out, _ = run_once(*argv)
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(st.integers()) | st.dictionaries(st.text(), inner),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=50)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}]})
+@example([True, False, None, 0, -1, 2**100, -(2**100)])
+@example([1, True, 2])
+@example({'quo"te': 'back\\slash "quoted"', "ctl\x00\x1f\t\n": "é ü 中 \U0001f600 \ud800"})
+def test_dumps_matches_stdlib_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), _Colour.RED, {1: "int key"}], ids=["float", "tuple", "enum", "int-key"])
+def test_dumps_refuses_other_types(bad):
+    for value in (bad, [0, bad], {"results": {"rows": [bad]}}):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def test_diagram_json_escapes_a_non_ascii_path(capsys, tmp_path):
+    target = tmp_path / "étoile-星.svg"
+    code, out, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--format", "json", "--out", str(target))
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["files"] == [str(target)]
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert out.isascii()
 
 
 def test_diagram_single_file(capsys, tmp_path):

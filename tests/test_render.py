@@ -53,7 +53,7 @@ def test_build_scene_edge_counts(k, r, step_limit, expected_edges):
     assert len(scene.edges) == expected_edges
 
 
-@pytest.mark.parametrize("bad_limit", [0, 13, -1, 61])
+@pytest.mark.parametrize("bad_limit", [0, 13, -1, 61, 2.0, True])
 def test_build_scene_rejects_bad_step_limit(bad_limit):
     with pytest.raises(ValueError):
         build_scene(SubsequenceSpec(k=3, r=25), step_limit=bad_limit)
