@@ -1,45 +1,29 @@
-"""Fibonacci sequences modulo m: periods, subsequence diagrams, SVG output."""
+"""Fibonacci sequences modulo m: periods, subsequence diagrams, SVG output.
+
+The package exports what the CLI, the `verify` battery and the README
+examples use. Result types (`PisanoPeriod`, `SubsequencePeriod`,
+`StarPolygon`, `ShiftCertificate`, `UnitGroup`, `DiagramScene`, ...) are
+imported from their own modules.
+"""
 
 from .complete import (
     NotAUnitError,
     OracleFailureError,
-    ShiftCertificate,
     ShiftDirection,
-    UnitGroup,
     brute_force_shift,
     compute_shift,
     first_zero_index,
-    index_log,
     unit_group,
 )
-from .core import (
-    InvalidModulusError,
-    PisanoPeriod,
-    ResidueCharacter,
-    antipodal_sum,
-    fib_mod,
-    lucas_mod,
-    pisano_period,
-    residue_character,
-)
+from .core import InvalidModulusError, antipodal_sum, fib_mod, lucas_mod, pisano_period
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
-from .render import (
-    CircleLayout,
-    DiagramScene,
-    build_scene,
-    circle_layout,
-    render_frames,
-    render_svg,
-)
+from .render import build_scene, render_frames, render_svg
 from .subseq import (
     CIRCLE_POINTS,
     DiagramType,
-    StarPolygon,
-    SubsequencePeriod,
     SubsequenceSpec,
     dodecagon_tuple,
     is_cyclic_shift,
-    parent_period,
     pentagon_tuple,
     square_tuple,
     star_polygon,
@@ -50,40 +34,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CIRCLE_POINTS",
-    "CircleLayout",
-    "DiagramScene",
     "DiagramType",
     "InvalidModulusError",
     "NotAUnitError",
     "OracleFailureError",
-    "PisanoPeriod",
     "QuasiClass",
     "QuasiPrediction",
-    "ResidueCharacter",
-    "ShiftCertificate",
     "ShiftDirection",
-    "StarPolygon",
-    "SubsequencePeriod",
     "SubsequenceSpec",
-    "UnitGroup",
     "antipodal_sum",
     "brute_force_shift",
     "build_scene",
-    "circle_layout",
     "compute_shift",
     "dodecagon_tuple",
     "fib_mod",
     "first_zero_index",
-    "index_log",
     "is_cyclic_shift",
     "lucas_mod",
-    "parent_period",
     "pentagon_tuple",
     "pisano_period",
     "predict_quasi",
     "render_frames",
     "render_svg",
-    "residue_character",
     "square_tuple",
     "star_polygon",
     "subsequence_period",

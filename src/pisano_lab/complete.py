@@ -124,8 +124,7 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
     The forward case yields 60 - restart_index, stored reduced mod 60 so
     the shift stays in [0, 59].
     """
-    _require_unit(r)
-    SubsequenceSpec(k=k, r=r)  # refuses a k that is not an int in [0, 59]
+    first_zero = first_zero_index(k, r)  # refuses a bad r, then a bad k
     forward = r % 4 == 1
     unit_digit = (r if forward else -r) % 10
     log_index = index_log(unit_digit)
@@ -139,7 +138,7 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
         log_index=log_index,
         zero_vertex=zero_vertex,
         restart_index=restart_index,
-        first_zero=first_zero_index(k, r),
+        first_zero=first_zero,
         direction=ShiftDirection.FORWARD if forward else ShiftDirection.REVERSE,
         shift=shift,
     )

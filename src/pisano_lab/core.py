@@ -6,7 +6,6 @@ residues, so no intermediate ever grows beyond the modulus.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 
@@ -104,28 +103,6 @@ def pisano_period(m: int) -> PisanoPeriod:
         if i > cap:
             raise RuntimeError("period scan exceeded the pigeonhole bound")
     return PisanoPeriod(modulus=m, length=i, period=tuple(residues))
-
-
-class ResidueCharacter(enum.Enum):
-    """Coarse class of F(n) mod 10: zero, five, or anything else."""
-
-    ZERO = "zero"
-    FIVE = "five"
-    OTHER = "other"
-
-
-def residue_character(n: int) -> ResidueCharacter:
-    """Whether F(n) mod 10 is 0, 5, or neither, read off n alone.
-
-    F(n) mod 10 is 0 exactly when 15 divides n, and 5 exactly when 5
-    divides n but 15 does not.
-    """
-    _require_index(n)
-    if n % 15 == 0:
-        return ResidueCharacter.ZERO
-    if n % 5 == 0:
-        return ResidueCharacter.FIVE
-    return ResidueCharacter.OTHER
 
 
 def antipodal_sum(n: int) -> int:

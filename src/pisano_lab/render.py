@@ -3,14 +3,13 @@
 Output is byte-identical across runs and platforms: trigonometry runs in
 double precision, every coordinate is rounded exactly once to three
 decimals at serialization, and element order is fixed (circle, ticks,
-labels, edges, highlight).
+labels, edges).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, star_polygon
 
@@ -30,41 +29,31 @@ def _angle_degrees(p: int) -> float:
 class CircleLayout:
     """Positions and labels of the 60 circle points."""
 
-    radius: float
-    label_radius: float
     labels: tuple[int, ...]
 
-    def point(self, p: int, radius: float | None = None) -> tuple[float, float]:
+    def point(self, p: int, radius: float = CIRCLE_RADIUS) -> tuple[float, float]:
         """Screen coordinates of circle index p at the given radius.
 
         Screen y grows downward, so the y component subtracts the sine.
         """
         rad = math.radians(_angle_degrees(p))
-        rr = self.radius if radius is None else radius
-        return (CENTER + rr * math.cos(rad), CENTER - rr * math.sin(rad))
+        return (CENTER + radius * math.cos(rad), CENTER - radius * math.sin(rad))
 
 
 def circle_layout() -> CircleLayout:
     """The standard layout: label p shows F(p) mod 10."""
-    return CircleLayout(radius=CIRCLE_RADIUS, label_radius=LABEL_RADIUS, labels=parent_period())
+    return CircleLayout(labels=parent_period())
 
 
 @dataclass(frozen=True)
 class DiagramScene:
-    """A circle layout plus the walk edges of one subsequence diagram."""
+    """The walk edges of one subsequence diagram."""
 
-    layout: CircleLayout
     spec: SubsequenceSpec
     edges: tuple[tuple[int, int], ...]
-    step_limit: int | None = None
-    highlight: tuple[int, ...] | None = None
 
 
-def build_scene(
-    spec: SubsequenceSpec,
-    step_limit: int | None = None,
-    highlight: Iterable[int] | None = None,
-) -> DiagramScene:
+def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> DiagramScene:
     """Enumerate the walk edges for (k, r); all n closing edges by default.
 
     Edge j connects circle indices (k + r*j) mod 60 and (k + r*(j+1))
@@ -87,13 +76,7 @@ def build_scene(
         )
         for j in range(count)
     )
-    return DiagramScene(
-        layout=circle_layout(),
-        spec=spec,
-        edges=edges,
-        step_limit=step_limit,
-        highlight=tuple(highlight) if highlight is not None else None,
-    )
+    return DiagramScene(spec=spec, edges=edges)
 
 
 def _fmt(value: float) -> str:
@@ -102,12 +85,12 @@ def _fmt(value: float) -> str:
 
 def render_svg(scene: DiagramScene) -> bytes:
     """Serialize a scene to a standalone SVG 1.1 document."""
-    layout = scene.layout
+    layout = circle_layout()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">',
-        f'  <circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(layout.radius)}" '
+        f'  <circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(CIRCLE_RADIUS)}" '
         'fill="none" stroke="blue" stroke-width="1.5"/>',
     ]
     ticks = []
@@ -117,7 +100,7 @@ def render_svg(scene: DiagramScene) -> bytes:
         ticks.append(f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}")
     lines.append(f'  <path stroke="blue" stroke-width="1" fill="none" d="{" ".join(ticks)}"/>')
     for p in range(CIRCLE_POINTS):
-        x, y = layout.point(p, layout.label_radius)
+        x, y = layout.point(p, LABEL_RADIUS)
         lines.append(
             f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="11" text-anchor="middle" '
             f'dominant-baseline="central">{layout.labels[p]}</text>'
@@ -129,15 +112,6 @@ def render_svg(scene: DiagramScene) -> bytes:
             f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             'stroke="black" stroke-width="1"/>'
         )
-    if scene.highlight and len(scene.highlight) >= 2:
-        hl = scene.highlight
-        for i in range(len(hl)):
-            x1, y1 = layout.point(hl[i])
-            x2, y2 = layout.point(hl[(i + 1) % len(hl)])
-            lines.append(
-                f'  <line class="highlight" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="black" stroke-width="3"/>'
-            )
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -2,15 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pisano_lab.core import (
-    InvalidModulusError,
-    ResidueCharacter,
-    antipodal_sum,
-    fib_mod,
-    lucas_mod,
-    pisano_period,
-    residue_character,
-)
+from pisano_lab.core import InvalidModulusError, antipodal_sum, fib_mod, lucas_mod, pisano_period
 
 from oracles import PARENT_PERIOD_10, PERIOD_MOD_8, slow_fib, slow_pisano_length
 
@@ -63,8 +55,6 @@ def test_non_int_index_rejected(bad):
         fib_mod(bad, 10)
     with pytest.raises(ValueError):
         lucas_mod(bad, 10)
-    with pytest.raises(ValueError):
-        residue_character(bad)
 
 
 @given(st.integers(-300, 300), st.integers(2, 80))
@@ -111,32 +101,6 @@ def test_pisano_period_obeys_recurrence():
         period = pisano_period(m).period
         for j in range(2, len(period)):
             assert period[j] == (period[j - 1] + period[j - 2]) % m, (m, j)
-
-
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (15, ResidueCharacter.ZERO),
-        (25, ResidueCharacter.FIVE),
-        (7, ResidueCharacter.OTHER),
-        (0, ResidueCharacter.ZERO),
-        (-5, ResidueCharacter.FIVE),
-    ],
-)
-def test_residue_character_examples(n, expected):
-    assert residue_character(n) is expected
-
-
-def test_residue_character_agrees_with_fib_mod():
-    for n in range(-120, 121):
-        value = fib_mod(n, 10)
-        character = residue_character(n)
-        if character is ResidueCharacter.ZERO:
-            assert value == 0, n
-        elif character is ResidueCharacter.FIVE:
-            assert value == 5, n
-        else:
-            assert value not in (0, 5), n
 
 
 @pytest.mark.parametrize("n, expected", [(0, 0), (1, 10), (45, 0)])

@@ -125,17 +125,6 @@ def test_document_shape():
     assert document.rstrip().endswith("</svg>")
 
 
-def test_highlight_overlay_pass():
-    spec = SubsequenceSpec(k=0, r=30)
-    highlighted = build_scene(spec, highlight=(0, 15, 30, 45))
-    document = render_svg(highlighted)
-    assert document.count(b'class="highlight"') == 4
-    assert render_svg(highlighted) == document
-    # the overlay goes on top: highlight lines come after plain edges
-    plain = render_svg(build_scene(spec))
-    assert document.startswith(plain[: plain.rfind(b"</svg>")])
-
-
 def test_frames_match_goldens():
     frames = render_frames(SubsequenceSpec(k=3, r=25))
     for s, frame in enumerate(frames):
