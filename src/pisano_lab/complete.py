@@ -39,13 +39,21 @@ class UnitGroup:
     inverse: dict[int, int]
 
 
+# Largest modulus unit_group accepts. The result holds a tuple and a dict with
+# up to n - 1 entries each, so an unbounded n could exhaust memory; the
+# library itself needs only U(10) and U(60).
+UNIT_GROUP_MAX_MODULUS = 10_000
+
+
 def unit_group(n: int) -> UnitGroup:
-    """Elements, order, and inverse mapping of U(n), n >= 2.
+    """Elements, order, and inverse mapping of U(n), 2 <= n <= UNIT_GROUP_MAX_MODULUS.
 
     Inverses come from the extended gcd (via pow with exponent -1), not
     from any precomputed table.
     """
     _require_modulus(n)
+    if n > UNIT_GROUP_MAX_MODULUS:
+        raise ValueError(f"unit_group builds U(n) only for n <= {UNIT_GROUP_MAX_MODULUS}, got {n}")
     elements = tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
     inverse = {u: pow(u, -1, n) for u in elements}
     return UnitGroup(modulus=n, elements=elements, order=len(elements), inverse=inverse)

@@ -120,16 +120,23 @@ def dodecagon_tuple(k: int) -> tuple[int, ...]:
     return _fixed_jump_period(k, 5)
 
 
+def _tokens(values: Sequence[int]) -> str:
+    # hex() reads an int through __index__, so True is 0x1 and matches 1 as it
+    # does under ==; unlike str(), it has no length limit for huge ints
+    try:
+        return ",".join(map(hex, values)) + ","
+    except TypeError:
+        raise ValueError("is_cyclic_shift compares sequences of ints") from None
+
+
 def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when b is a rotation of a (empty sequences match each other).
 
     Uses the doubling trick: b is a rotation of a exactly when it occurs
-    as a window of a concatenated with itself.
+    as a window of a concatenated with itself. Both are written as
+    comma-terminated tokens, so one C-level substring search, linear in
+    the length, finds a window that starts on a term boundary.
     """
     if len(a) != len(b):
         return False
-    if len(a) == 0:
-        return True
-    doubled = tuple(a) + tuple(a)
-    target = tuple(b)
-    return any(doubled[s : s + len(a)] == target for s in range(len(a)))
+    return "," + _tokens(b) in "," + _tokens(a) * 2

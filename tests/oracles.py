@@ -2,8 +2,8 @@
 
 The tables here were transcribed by hand from published brute-force
 listings; the oracles recompute things by the most naive route available
-(plain big-integer iteration, exhaustive walks) so they share no code
-path with the implementations they check.
+(plain big-integer iteration, window-by-window comparison) so they share
+no code path with the implementations they check.
 """
 
 from __future__ import annotations
@@ -99,19 +99,12 @@ def slow_pisano_length(m: int) -> int:
         r += 1
 
 
-def circle_walk(r: int) -> tuple[int, int]:
-    """Walk the 60-point circle in steps of r; return (vertex count, q).
-
-    q is recovered geometrically: the number of circle points between
-    adjacent diagram vertices, divided into the jump size.
-    """
-    visited = {0}
-    p = r % 60
-    while p != 0:
-        visited.add(p)
-        p = (p + r) % 60
-    points = sorted(visited)
-    n = len(points)
-    spacings = {(points[(i + 1) % n] - points[i]) % 60 for i in range(n)}
-    assert len(spacings) == 1, f"walk for r={r} is not equally spaced"
-    return n, r // spacings.pop()
+def slow_cyclic_shift(a, b) -> bool:
+    """True when b is a rotation of a, by comparing b with every window of a + a."""
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    doubled = tuple(a) + tuple(a)
+    target = tuple(b)
+    return any(doubled[s : s + len(a)] == target for s in range(len(a)))

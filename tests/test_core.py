@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from pisano_lab.core import InvalidModulusError, antipodal_sum, fib_mod, lucas_mod, pisano_period
 
-from oracles import PARENT_PERIOD_10, PERIOD_MOD_8, slow_fib, slow_pisano_length
+from oracles import slow_fib, slow_pisano_length
 
 
 @pytest.mark.parametrize(
@@ -68,18 +68,6 @@ def test_negative_index_reflection(n, m):
     assert fib_mod(-n, m) == (sign * fib_mod(n, m)) % m
 
 
-def test_pisano_period_of_10():
-    result = pisano_period(10)
-    assert result.length == 60
-    assert result.period == PARENT_PERIOD_10
-
-
-def test_pisano_period_of_8():
-    result = pisano_period(8)
-    assert result.length == 12
-    assert result.period == PERIOD_MOD_8
-
-
 def test_pisano_period_of_2():
     assert pisano_period(2).period == (0, 1, 1)
 
@@ -107,7 +95,3 @@ def test_pisano_period_obeys_recurrence():
 def test_antipodal_sum_examples(n, expected):
     assert antipodal_sum(n) == expected
 
-
-def test_antipodal_dichotomy():
-    for n in range(0, 60):
-        assert antipodal_sum(n) == (0 if n % 15 == 0 else 10), n

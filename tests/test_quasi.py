@@ -52,18 +52,6 @@ def test_zero_five_five_period_satisfies_both():
     assert verify_quasi(period) is QuasiClass.BOTH
 
 
-def test_every_pair_is_consistent_with_its_prediction():
-    consistent = {
-        QuasiPrediction.FORWARD: (QuasiClass.FORWARD, QuasiClass.BOTH),
-        QuasiPrediction.REVERSE: (QuasiClass.REVERSE, QuasiClass.BOTH),
-        QuasiPrediction.NO_GUARANTEE: tuple(QuasiClass),
-    }
-    for k in range(60):
-        for r in range(1, 60):
-            observed = verify_quasi(subsequence_period(SubsequenceSpec(k=k, r=r)))
-            assert observed in consistent[predict_quasi(r)], (k, r)
-
-
 def test_verified_class_is_cyclic_shift_invariant():
     # the recurrence classes depend on the cycle, not on where it starts
     base = subsequence_period(SubsequenceSpec(k=3, r=25))

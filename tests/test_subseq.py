@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,7 @@ from oracles import (
     PARENT_PERIOD_10,
     PENTAGON_TABLE,
     SQUARE_TABLE,
-    circle_walk,
+    slow_cyclic_shift,
 )
 
 ALL_SPECS = [SubsequenceSpec(k=k, r=r) for k in range(60) for r in range(1, 60)]
@@ -55,30 +56,6 @@ def test_spec_validation(k, r):
 def test_star_polygon_examples(k, r, n, q, diagram_type, convex):
     poly = star_polygon(SubsequenceSpec(k=k, r=r))
     assert (poly.n, poly.q, poly.diagram_type, poly.convex) == (n, q, diagram_type, convex)
-
-
-def test_star_polygon_matches_circle_walk():
-    for r in range(1, 60):
-        poly = star_polygon(SubsequenceSpec(k=0, r=r))
-        n, q = circle_walk(r)
-        assert (poly.n, poly.q) == (n, q), r
-        assert math.gcd(poly.n, poly.q) == 1, r
-        # type re-derived from geometry: full circle is Type3; stepping to a
-        # neighbouring vertex in either direction draws the convex n-gon
-        if n == 60:
-            expected = DiagramType.TYPE3
-        elif q in (1, n - 1):
-            expected = DiagramType.TYPE1
-        else:
-            expected = DiagramType.TYPE2
-        assert poly.diagram_type is expected, r
-        assert poly.convex == (q == 1), r
-
-
-def test_twenty_vertex_trio():
-    for r, q in {9: 3, 21: 7, 27: 9}.items():
-        poly = star_polygon(SubsequenceSpec(k=0, r=r))
-        assert (poly.n, poly.q) == (20, q), r
 
 
 @pytest.mark.parametrize(
@@ -150,6 +127,8 @@ def test_dodecagon_tuple_classes_and_sums():
         ((0, 0, 0, 0), (0, 0, 0, 0), True),
         ((), (), True),
         ((1, 2), (1, 2, 1), False),
+        ((-1, 2), (1, 2), False),
+        ((True, 0), (0, 1), True),
     ],
 )
 def test_is_cyclic_shift_examples(a, b, expected):
@@ -168,3 +147,30 @@ def test_rotations_are_cyclic_shifts(values, offset):
 def test_cyclic_shifts_preserve_multisets(a, b):
     if is_cyclic_shift(a, b):
         assert sorted(a) == sorted(b)
+
+
+TERMS = st.lists(st.sampled_from([-1, 0, 1, 2, False, True, 10**40]), max_size=8)
+
+
+@given(TERMS, TERMS, st.integers(0, 7))
+def test_is_cyclic_shift_matches_the_window_reference(a, b, offset):
+    shift = offset % max(len(a), 1)
+    rotated = a[shift:] + a[:shift]
+    for x, y in ((a, b), (a, rotated), (rotated, b)):
+        assert is_cyclic_shift(x, y) is slow_cyclic_shift(x, y), (x, y)
+
+
+def test_is_cyclic_shift_is_linear():
+    # a window-by-window scan copies n windows of n terms here: quadratic
+    n = 20_000
+    a = (0,) * (n - 1) + (1,)
+    start = time.perf_counter()
+    assert not is_cyclic_shift(a, (0,) * (n - 1) + (2,))
+    assert is_cyclic_shift(a, (1,) + (0,) * (n - 1))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_is_cyclic_shift_rejects_non_int_terms():
+    for bad in ((1.0,), ("1",)):
+        with pytest.raises(ValueError):
+            is_cyclic_shift(bad, (1,))
