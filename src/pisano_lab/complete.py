@@ -161,19 +161,24 @@ def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
     forward or in reverse. Zero or multiple matches raise
     OracleFailureError, since the parent period contains exactly one
     adjacent (0, 1) pair in each direction.
+
+    A window is copied and compared only when its first term equals the
+    period's first term; tuple equality demands that anyway, so the gate
+    leaves the set of matches unchanged.
     """
     _require_unit(r)
     parent = parent_period()
     terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+    first = terms[0]
     forward = parent + parent
     # reverse[start + j] is parent[(shift - j) % 60] for start = 59 - shift
     reverse = parent[::-1] * 2
     matches = []
     for shift in range(CIRCLE_POINTS):
-        if forward[shift : shift + CIRCLE_POINTS] == terms:
+        if forward[shift] == first and forward[shift : shift + CIRCLE_POINTS] == terms:
             matches.append((ShiftDirection.FORWARD, shift))
         start = CIRCLE_POINTS - 1 - shift
-        if reverse[start : start + CIRCLE_POINTS] == terms:
+        if reverse[start] == first and reverse[start : start + CIRCLE_POINTS] == terms:
             matches.append((ShiftDirection.REVERSE, shift))
     if len(matches) != 1:
         raise OracleFailureError(

@@ -19,6 +19,10 @@ CIRCLE_RADIUS = 240.0
 TICK_RADIUS = 252.0
 LABEL_RADIUS = 264.0
 
+# circle index i mod 60 at position i; 60 copies reach i = 59 + 59*60, the
+# last walk point any scene reads (k = 59, r = 59, 60 edges)
+_CIRCLE_INDICES = tuple(range(CIRCLE_POINTS)) * CIRCLE_POINTS
+
 
 def _angle_degrees(p: int) -> float:
     # index 0 at the top of the circle, advancing clockwise, 6 degrees apart
@@ -57,9 +61,11 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> Diagram
     """Enumerate the walk edges for (k, r); all n closing edges by default.
 
     Edge j connects circle indices (k + r*j) mod 60 and (k + r*(j+1))
-    mod 60. A step_limit in [1, n] keeps only the first edges, as in the
-    step-by-step construction frames; any other step_limit, or one that is
-    not an int, raises ValueError.
+    mod 60. The walk points are one C-level slice, from k in steps of r,
+    of the circle indices repeated 60 times, and each edge pairs a point
+    with the next. A step_limit in [1, n] keeps only the first edges, as
+    in the step-by-step construction frames; any other step_limit, or one
+    that is not an int, raises ValueError.
     """
     n = star_polygon(spec).n
     if step_limit is not None:
@@ -69,14 +75,9 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> Diagram
         if not 1 <= step_limit <= n:
             raise ValueError(f"step_limit must be in [1, {n}], got {step_limit}")
     count = n if step_limit is None else step_limit
-    edges = tuple(
-        (
-            (spec.k + spec.r * j) % CIRCLE_POINTS,
-            (spec.k + spec.r * (j + 1)) % CIRCLE_POINTS,
-        )
-        for j in range(count)
-    )
-    return DiagramScene(spec=spec, edges=edges)
+    k, r = spec.k, spec.r
+    walk = _CIRCLE_INDICES[k : k + r * (count + 1) : r]
+    return DiagramScene(spec=spec, edges=tuple(zip(walk, walk[1:])))
 
 
 def _fmt(value: float) -> str:

@@ -25,6 +25,12 @@ def parent_period() -> tuple[int, ...]:
     return pisano_period(10).period
 
 
+@lru_cache(maxsize=1)
+def _unrolled_parent() -> tuple[int, ...]:
+    # 60 copies reach index 59 + 59*59, the last term any (k, r) period reads
+    return parent_period() * CIRCLE_POINTS
+
+
 @dataclass(frozen=True)
 class SubsequenceSpec:
     """Start index k in [0, 59] and jump size r in [1, 59]."""
@@ -92,11 +98,15 @@ class SubsequencePeriod:
 
 
 def subsequence_period(spec: SubsequenceSpec) -> SubsequencePeriod:
-    """Terms F(k + r*j) mod 10 for one full period, j = 0 .. n-1."""
-    parent = parent_period()
-    n = CIRCLE_POINTS // math.gcd(spec.r, CIRCLE_POINTS)
-    terms = tuple(parent[(spec.k + spec.r * j) % CIRCLE_POINTS] for j in range(n))
-    return SubsequencePeriod(spec=spec, terms=terms)
+    """Terms F(k + r*j) mod 10 for one full period, j = 0 .. n-1.
+
+    The terms are one C-level slice, from k in steps of r, of the parent
+    period repeated 60 times: index k + r*j of that table is F(k + r*j)
+    mod 10 without a reduction mod 60.
+    """
+    k, r = spec.k, spec.r
+    n = CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
+    return SubsequencePeriod(spec=spec, terms=_unrolled_parent()[k : k + r * n : r])
 
 
 def _fixed_jump_period(k: int, r: int) -> tuple[int, ...]:

@@ -169,5 +169,16 @@ def test_oracle_failure_without_an_alignment(monkeypatch):
         brute_force_shift(0, 13)
 
 
+def test_oracle_failure_on_several_alignments(monkeypatch):
+    # a 30-periodic table puts two windows of the same terms in each direction
+    table = parent_period()[:30] * 2
+    monkeypatch.setattr(complete, "parent_period", lambda: table)
+    monkeypatch.setattr(
+        complete, "subsequence_period", lambda spec: SubsequencePeriod(spec=spec, terms=table)
+    )
+    with pytest.raises(OracleFailureError, match="found 2"):
+        brute_force_shift(0, 13)
+
+
 def test_units_60_fixture_is_really_u60():
     assert UNITS_60 == tuple(r for r in range(1, 60) if math.gcd(r, 60) == 1)

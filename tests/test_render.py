@@ -57,11 +57,17 @@ def test_build_scene_rejects_bad_step_limit(bad_limit):
 
 
 def test_edges_follow_the_walk():
-    spec = SubsequenceSpec(k=9, r=13)
-    scene = build_scene(spec)
-    for j, (a, b) in enumerate(scene.edges):
-        assert a == (spec.k + spec.r * j) % 60
-        assert b == (spec.k + spec.r * (j + 1)) % 60
+    for k in range(60):
+        for r in range(1, 60):
+            spec = SubsequenceSpec(k=k, r=r)
+            edges = build_scene(spec).edges
+            n = 60 // math.gcd(r, 60)
+            walk = [(k + r * j) % 60 for j in range(n + 1)]
+            assert edges == tuple(zip(walk, walk[1:])), spec
+            if k == 59:
+                # the walks that reach furthest: every step limit keeps a prefix
+                for s in range(1, n + 1):
+                    assert build_scene(spec, step_limit=s).edges == edges[:s], (spec, s)
 
 
 def test_full_scene_has_exactly_n_line_elements():
