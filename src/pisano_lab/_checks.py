@@ -6,8 +6,12 @@ counterexample it finds; a bug in the code under test makes a check
 fail, never raise. These sweeps are the only copy of the exhaustive
 property checks: the test suite reads their results from one `verify`
 run and shows, with one seeded bug per check, that each check can fail.
-In process, `run_all` takes about 0.27 s on Python 3.11 and a shared
-2-vCPU Xeon VM.
+
+A check is declared once, by decorating it with `_check(name, covered)`:
+the function returns its first counterexample as a string, or None when
+the property holds, and the decorator turns that into a `CheckResult`
+and appends the check to `ALL_CHECKS`, the order in which `run_all` and
+the `verify` report list them.
 
 The heavy sweeps do not repeat work: the `fib_mod` identity checks read
 each distinct argument from `fib_mod` once per check, and the grid
@@ -17,8 +21,9 @@ slice.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .complete import brute_force_shift, compute_shift, first_zero_index, unit_group
@@ -45,12 +50,30 @@ class CheckResult:
     detail: str
 
 
-def _ok(name: str, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=True, detail=detail)
+ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = ()
 
 
-def _fail(name: str, counterexample: str) -> CheckResult:
-    return CheckResult(name=name, passed=False, detail=counterexample)
+def _check(name: str, covered: str) -> Callable[[Callable[[], str | None]], Callable[[], CheckResult]]:
+    """Register a check that returns its first counterexample, or None when it passes.
+
+    The registered check reports `CheckResult(name, False, counterexample)`
+    on failure and `CheckResult(name, True, covered)` on success, and is
+    appended to `ALL_CHECKS`, so the battery runs in definition order.
+    """
+
+    def register(sweep: Callable[[], str | None]) -> Callable[[], CheckResult]:
+        @functools.wraps(sweep)
+        def check() -> CheckResult:
+            counterexample = sweep()
+            if counterexample is None:
+                return CheckResult(name, True, covered)
+            return CheckResult(name, False, counterexample)
+
+        global ALL_CHECKS
+        ALL_CHECKS += (check,)
+        return check
+
+    return register
 
 
 def _unit_cases() -> Iterator[tuple[int, int]]:
@@ -63,81 +86,76 @@ def _unit_cases() -> Iterator[tuple[int, int]]:
 # core arithmetic
 
 
-def check_fib_recurrence() -> CheckResult:
-    name = "fib-recurrence"
+@_check("fib-recurrence", "all n in [-200, 200], m in [2, 30]")
+def check_fib_recurrence() -> str | None:
     for m in range(2, 31):
         fib = {n: fib_mod(n, m) for n in range(-200, 201)}
         for n in range(-200, 199):
             if fib[n + 2] != (fib[n + 1] + fib[n]) % m:
-                return _fail(name, f"recurrence breaks at n={n}, m={m}")
-    return _ok(name, "all n in [-200, 200], m in [2, 30]")
+                return f"recurrence breaks at n={n}, m={m}"
 
 
-def check_negative_reflection() -> CheckResult:
-    name = "negative-index-reflection"
+@_check("negative-index-reflection", "all n in [0, 200], m in [2, 30]")
+def check_negative_reflection() -> str | None:
     for m in range(2, 31):
         fib = {n: fib_mod(n, m) for n in range(-200, 201)}
         for n in range(0, 201):
             sign = 1 if n % 2 == 1 else -1
             if fib[-n] != (sign * fib[n]) % m:
-                return _fail(name, f"reflection breaks at n={n}, m={m}")
-    return _ok(name, "all n in [0, 200], m in [2, 30]")
+                return f"reflection breaks at n={n}, m={m}"
 
 
-def _zero_law(name: str, m: int, step: int, law: str) -> CheckResult:
+def _zero_law(m: int, step: int, law: str) -> str | None:
     """m divides F(n) exactly when step divides n, for n in [0, 1000]."""
     for n in range(0, 1001):
         if (fib_mod(n, m) == 0) != (n % step == 0):
-            return _fail(name, f"{law} breaks at n={n}")
-    return _ok(name, "all n in [0, 1000]")
+            return f"{law} breaks at n={n}"
 
 
-def check_parity_law() -> CheckResult:
-    return _zero_law("even-terms-at-multiples-of-3", 2, 3, "parity law")
+@_check("even-terms-at-multiples-of-3", "all n in [0, 1000]")
+def check_parity_law() -> str | None:
+    return _zero_law(2, 3, "parity law")
 
 
-def check_five_law() -> CheckResult:
-    return _zero_law("fives-at-multiples-of-5", 5, 5, "divisibility by 5")
+@_check("fives-at-multiples-of-5", "all n in [0, 1000]")
+def check_five_law() -> str | None:
+    return _zero_law(5, 5, "divisibility by 5")
 
 
-def check_index_addition() -> CheckResult:
-    name = "index-addition-identity"
+@_check("index-addition-identity", "all a, b in [-60, 60]")
+def check_index_addition() -> str | None:
     fib = {n: fib_mod(n, 10) for n in range(-120, 121)}
     for a in range(-60, 61):
         for b in range(-60, 61):
             expected = (fib[a - 1] * fib[b] + fib[a] * fib[b + 1]) % 10
             if fib[a + b] != expected:
-                return _fail(name, f"addition identity breaks at a={a}, b={b}")
-    return _ok(name, "all a, b in [-60, 60]")
+                return f"addition identity breaks at a={a}, b={b}"
 
 
-def check_fifteen_step_multiplier() -> CheckResult:
-    name = "fifteen-step-multiplier"
+@_check("fifteen-step-multiplier", "all n in [0, 60], j in [0, 8]")
+def check_fifteen_step_multiplier() -> str | None:
     for n in range(0, 61):
         for j in range(0, 9):
             if fib_mod(n + 15 * j, 10) != (pow(7, j, 10) * fib_mod(n, 10)) % 10:
-                return _fail(name, f"15-step multiplier breaks at n={n}, j={j}")
-    return _ok(name, "all n in [0, 60], j in [0, 8]")
+                return f"15-step multiplier breaks at n={n}, j={j}"
 
 
-def check_antipodal_sums() -> CheckResult:
-    name = "antipodal-sums"
+@_check("antipodal-sums", "all n in [0, 59]")
+def check_antipodal_sums() -> str | None:
     for n in range(0, 60):
         total = antipodal_sum(n)
         expected = 0 if n % 15 == 0 else 10
         if total != expected:
-            return _fail(name, f"antipodal sum at n={n} is {total}, expected {expected}")
-    return _ok(name, "all n in [0, 59]")
+            return f"antipodal sum at n={n} is {total}, expected {expected}"
 
 
-def check_period_contents() -> CheckResult:
-    name = "period-contents"
+@_check("period-contents", "all m in [2, 50]")
+def check_period_contents() -> str | None:
     for m in range(2, 51):
         period = pisano_period(m)
         for j, value in enumerate(period.period):
             if value != fib_mod(j, m):
-                return _fail(name, f"period of m={m} disagrees with fib_mod at j={j}")
-    return _ok(name, "all m in [2, 50]")
+                return f"period of m={m} disagrees with fib_mod at j={j}"
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +177,15 @@ def _circle_walk(r: int) -> tuple[int, int]:
     return n, r // spacings.pop()
 
 
-def check_polygon_parameters() -> CheckResult:
-    name = "polygon-parameters-vs-walk"
+@_check("polygon-parameters-vs-walk", "all r in [1, 59]")
+def check_polygon_parameters() -> str | None:
     for r in range(1, 60):
         poly = star_polygon(SubsequenceSpec(k=0, r=r))
         n, q = _circle_walk(r)
         if (poly.n, poly.q) != (n, q):
-            return _fail(name, f"r={r}: formula gives ({poly.n}, {poly.q}), walk gives ({n}, {q})")
+            return f"r={r}: formula gives ({poly.n}, {poly.q}), walk gives ({n}, {q})"
         if math.gcd(poly.n, poly.q) != 1:
-            return _fail(name, f"r={r}: n and q share a factor")
+            return f"r={r}: n and q share a factor"
         if n == CIRCLE_POINTS:
             expected_type = DiagramType.TYPE3
         elif q in (1, n - 1):
@@ -175,51 +193,48 @@ def check_polygon_parameters() -> CheckResult:
         else:
             expected_type = DiagramType.TYPE2
         if poly.diagram_type != expected_type:
-            return _fail(name, f"r={r}: type {poly.diagram_type.value}, walk says {expected_type.value}")
+            return f"r={r}: type {poly.diagram_type.value}, walk says {expected_type.value}"
         if poly.convex != (q == 1):
-            return _fail(name, f"r={r}: convex flag disagrees with q")
-    return _ok(name, "all r in [1, 59]")
+            return f"r={r}: convex flag disagrees with q"
 
 
-def check_reversed_jumps() -> CheckResult:
-    name = "reversed-jump-periods"
+@_check("reversed-jump-periods", "all 3540 (k, r) pairs")
+def check_reversed_jumps() -> str | None:
     for k in range(60):
         periods = {r: subsequence_period(SubsequenceSpec(k=k, r=r)).terms for r in range(1, 60)}
         for r in range(1, 60):
             forward = periods[r]
             # term j of the reversed jump is term -j (mod n) of the forward one
             if periods[60 - r] != forward[:1] + forward[:0:-1]:
-                return _fail(name, f"(k={k}, r={r}): reversed jump is not the reversed period")
-    return _ok(name, "all 3540 (k, r) pairs")
+                return f"(k={k}, r={r}): reversed jump is not the reversed period"
 
 
-def check_twenty_vertex_steps() -> CheckResult:
-    name = "twenty-vertex-steps"
+@_check("twenty-vertex-steps", "r in {9, 21, 27} give n=20 with q=3, 7, 9")
+def check_twenty_vertex_steps() -> str | None:
     expected = {9: 3, 21: 7, 27: 9}
     for r, q in expected.items():
         poly = star_polygon(SubsequenceSpec(k=0, r=r))
         if (poly.n, poly.q) != (20, q):
-            return _fail(name, f"r={r}: got ({poly.n}, {poly.q}), expected (20, {q})")
-    return _ok(name, "r in {9, 21, 27} give n=20 with q=3, 7, 9")
+            return f"r={r}: got ({poly.n}, {poly.q}), expected (20, {q})"
 
 
 _SQUARE_CLASSES = {1: (1, 7, 9, 3), 3: (2, 4, 8, 6), 5: (5, 5, 5, 5), 15: (0, 0, 0, 0)}
 _SQUARE_POWER_BASES = {1: 7, 3: 2, 5: 5}
 
 
-def check_square_tuples() -> CheckResult:
-    name = "square-tuples"
+@_check("square-tuples", "all k in [0, 59]")
+def check_square_tuples() -> str | None:
     for k in range(60):
         values = square_tuple(k)
         g = math.gcd(k, 15)
         if not is_cyclic_shift(values, _SQUARE_CLASSES[g]):
-            return _fail(name, f"k={k}: {values} is not a rotation of the gcd={g} class")
+            return f"k={k}: {values} is not a rotation of the gcd={g} class"
         expected_sum = 0 if g == 15 else 20
         if sum(values) != expected_sum:
-            return _fail(name, f"k={k}: sum {sum(values)}, expected {expected_sum}")
+            return f"k={k}: sum {sum(values)}, expected {expected_sum}"
         if g == 15:
             if any(values):
-                return _fail(name, f"k={k}: expected all zeros")
+                return f"k={k}: expected all zeros"
         else:
             # start ranges over a full cycle of the power sequence's periodic
             # tail; bases 2 and 5 are not purely periodic, so 0 alone is not
@@ -228,8 +243,7 @@ def check_square_tuples() -> CheckResult:
             if not any(
                 all(values[i] == pow(base, start + i, 10) for i in range(4)) for start in range(5)
             ):
-                return _fail(name, f"k={k}: {values} does not match powers of {base}")
-    return _ok(name, "all k in [0, 59]")
+                return f"k={k}: {values} does not match powers of {base}"
 
 
 _PENTAGON_CLASSES = {
@@ -248,38 +262,36 @@ _PENTAGON_CLASSES = {
 }
 
 
-def check_pentagon_tuples() -> CheckResult:
-    name = "pentagon-tuples"
+@_check("pentagon-tuples", "all k in [0, 59]")
+def check_pentagon_tuples() -> str | None:
     for k in range(60):
         values = pentagon_tuple(k)
         if not is_cyclic_shift(values, _PENTAGON_CLASSES[k % 12]):
-            return _fail(name, f"k={k}: {values} is not a rotation of its class")
+            return f"k={k}: {values} is not a rotation of its class"
         expected_sum = 20 if k % 12 in (0, 3, 6, 9) else 25
         if sum(values) != expected_sum:
-            return _fail(name, f"k={k}: sum {sum(values)}, expected {expected_sum}")
-    return _ok(name, "all k in [0, 59]")
+            return f"k={k}: sum {sum(values)}, expected {expected_sum}"
 
 
-def check_dodecagon_tuples() -> CheckResult:
-    name = "dodecagon-tuples"
+@_check("dodecagon-tuples", "all k in [0, 59]")
+def check_dodecagon_tuples() -> str | None:
     lucas = tuple(lucas_mod(n, 10) for n in range(12))
     zero_five = (0, 5, 5) * 4
     for k in range(60):
         values = dodecagon_tuple(k)
         if k % 5 == 0:
             if sum(values) != 40 or not is_cyclic_shift(values, zero_five):
-                return _fail(name, f"k={k}: expected a rotation of the 0,5,5 pattern")
+                return f"k={k}: expected a rotation of the 0,5,5 pattern"
         else:
             if sum(values) != 60 or not is_cyclic_shift(values, lucas):
-                return _fail(name, f"k={k}: expected a rotation of the Lucas period")
-    return _ok(name, "all k in [0, 59]")
+                return f"k={k}: expected a rotation of the Lucas period"
 
 
 # ---------------------------------------------------------------------------
 # quasi recurrences
 
 
-def _recurrence_guarantee(name: str, residue: int, promised: QuasiClass) -> CheckResult:
+def _recurrence_guarantee(residue: int, promised: QuasiClass) -> str | None:
     """Every k, every r = residue (mod 4) with 3 not dividing r, obeys `promised`."""
     for r in range(1, 60):
         if r % 4 != residue or r % 3 == 0:
@@ -287,60 +299,59 @@ def _recurrence_guarantee(name: str, residue: int, promised: QuasiClass) -> Chec
         for k in range(60):
             observed = verify_quasi(subsequence_period(SubsequenceSpec(k=k, r=r)))
             if observed not in (promised, QuasiClass.BOTH):
-                return _fail(name, f"(k={k}, r={r}): observed {observed.value}")
-    return _ok(name, f"all k, all r = {residue} (mod 4) with 3 not dividing r")
+                return f"(k={k}, r={r}): observed {observed.value}"
 
 
-def check_forward_guarantee() -> CheckResult:
-    return _recurrence_guarantee("forward-recurrence-guarantee", 1, QuasiClass.FORWARD)
+@_check("forward-recurrence-guarantee", "all k, all r = 1 (mod 4) with 3 not dividing r")
+def check_forward_guarantee() -> str | None:
+    return _recurrence_guarantee(1, QuasiClass.FORWARD)
 
 
-def check_reverse_guarantee() -> CheckResult:
-    return _recurrence_guarantee("reverse-recurrence-guarantee", 3, QuasiClass.REVERSE)
+@_check("reverse-recurrence-guarantee", "all k, all r = 3 (mod 4) with 3 not dividing r")
+def check_reverse_guarantee() -> str | None:
+    return _recurrence_guarantee(3, QuasiClass.REVERSE)
 
 
-def _seed_identity(name: str, residue: int, sign: int) -> CheckResult:
+def _seed_identity(residue: int, sign: int) -> str | None:
     """1 + F(1 - sign*r) = F(1 + sign*r) (mod 10) for r = residue (mod 4), 3 not dividing r."""
     for r in range(1, 201):
         if r % 4 == residue and r % 3 != 0:
             if (1 + fib_mod(1 - sign * r, 10)) % 10 != fib_mod(1 + sign * r, 10):
-                return _fail(name, f"identity breaks at r={r}")
-    return _ok(name, f"all r = {residue} (mod 4), 3 not dividing r, up to 200")
+                return f"identity breaks at r={r}"
 
 
-def check_forward_seed_identity() -> CheckResult:
-    return _seed_identity("forward-seed-identity", 1, sign=1)
+@_check("forward-seed-identity", "all r = 1 (mod 4), 3 not dividing r, up to 200")
+def check_forward_seed_identity() -> str | None:
+    return _seed_identity(1, sign=1)
 
 
-def check_reverse_seed_identity() -> CheckResult:
-    return _seed_identity("reverse-seed-identity", 3, sign=-1)
+@_check("reverse-seed-identity", "all r = 3 (mod 4), 3 not dividing r, up to 200")
+def check_reverse_seed_identity() -> str | None:
+    return _seed_identity(3, sign=-1)
 
 
-def check_negative_index_parity() -> CheckResult:
-    name = "negative-index-parity"
+@_check("negative-index-parity", "all n in [0, 200]")
+def check_negative_index_parity() -> str | None:
     for n in range(0, 201):
         expected = (-fib_mod(n, 10)) % 10 if n % 2 == 0 else fib_mod(n, 10)
         if fib_mod(-n, 10) != expected:
-            return _fail(name, f"parity rule breaks at n={n}")
-    return _ok(name, "all n in [0, 200]")
+            return f"parity rule breaks at n={n}"
 
 
 # ---------------------------------------------------------------------------
 # complete subsequences
 
 
-def check_alignment_agreement() -> CheckResult:
-    name = "alignment-oracle-agreement"
+@_check("alignment-oracle-agreement", "all 960 (k, r) cases")
+def check_alignment_agreement() -> str | None:
     for k, r in _unit_cases():
         cert = compute_shift(k, r)
         direction, shift = brute_force_shift(k, r)
         if (cert.direction, cert.shift) != (direction, shift):
-            return _fail(
-                name,
+            return (
                 f"(k={k}, r={r}): computed {cert.direction.value}:{cert.shift}, "
-                f"oracle found {direction.value}:{shift}",
+                f"oracle found {direction.value}:{shift}"
             )
-    return _ok(name, "all 960 (k, r) cases")
 
 
 _UNIT_DIGIT_VALUES = {
@@ -349,83 +360,76 @@ _UNIT_DIGIT_VALUES = {
 }
 
 
-def check_unit_digit_law() -> CheckResult:
-    name = "unit-digit-law"
+@_check("unit-digit-law", "all 16 units of U(60)")
+def check_unit_digit_law() -> str | None:
     for r in unit_group(60).elements:
         value = fib_mod(r, 10)
         if value != _UNIT_DIGIT_VALUES[r]:
-            return _fail(name, f"r={r}: F(r) mod 10 is {value}, expected {_UNIT_DIGIT_VALUES[r]}")
+            return f"r={r}: F(r) mod 10 is {value}, expected {_UNIT_DIGIT_VALUES[r]}"
         expected = r % 10 if r % 4 == 1 else (-r) % 10
         if value != expected:
-            return _fail(name, f"r={r}: F(r) mod 10 is {value}, the sign law expects {expected}")
-    return _ok(name, "all 16 units of U(60)")
+            return f"r={r}: F(r) mod 10 is {value}, the sign law expects {expected}"
 
 
-def check_unit_values_are_units() -> CheckResult:
-    name = "unit-values-are-units"
+@_check("unit-values-are-units", "all 16 units of U(60)")
+def check_unit_values_are_units() -> str | None:
     for r in unit_group(60).elements:
         if fib_mod(r, 10) not in (1, 3, 7, 9):
-            return _fail(name, f"r={r}: F(r) mod 10 is not a unit mod 10")
-    return _ok(name, "all 16 units of U(60)")
+            return f"r={r}: F(r) mod 10 is not a unit mod 10"
 
 
 _INVERSE_ANCHORS = {1: 0, 3: 15, 7: 45, 9: 30}
 
 
-def check_inverse_anchor_positions() -> CheckResult:
-    name = "inverse-anchor-positions"
+@_check("inverse-anchor-positions", "both anchor variants for all 16 units")
+def check_inverse_anchor_positions() -> str | None:
     for r in unit_group(60).elements:
         value = fib_mod(r, 10)
         if value not in _INVERSE_ANCHORS:
-            return _fail(name, f"r={r}: F({r}) mod 10 is {value}, not a unit")
+            return f"r={r}: F({r}) mod 10 is {value}, not a unit"
         base = _INVERSE_ANCHORS[value]
         for anchor in (base - 1, base + 1):
             if (fib_mod(anchor, 10) * value) % 10 != 1:
-                return _fail(name, f"r={r}: F({anchor}) is not the inverse of F({r})")
-    return _ok(name, "both anchor variants for all 16 units")
+                return f"r={r}: F({anchor}) is not the inverse of F({r})"
 
 
-def check_four_zeros() -> CheckResult:
-    name = "four-equally-spaced-zeros"
+@_check("four-equally-spaced-zeros", "all 960 periods")
+def check_four_zeros() -> str | None:
     for k, r in _unit_cases():
         terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
         zeros = [j for j, value in enumerate(terms) if value == 0]
         j0 = first_zero_index(k, r)
         if zeros != [j0, j0 + 15, j0 + 30, j0 + 45]:
-            return _fail(name, f"(k={k}, r={r}): zeros at {zeros}")
-    return _ok(name, "all 960 periods")
+            return f"(k={k}, r={r}): zeros at {zeros}"
 
 
-def check_zero_subscripts() -> CheckResult:
-    name = "zero-subscript-classes"
+@_check("zero-subscript-classes", "all 960 periods")
+def check_zero_subscripts() -> str | None:
     for k, r in _unit_cases():
         j0 = first_zero_index(k, r)
         subscripts = {(k + r * (j0 + 15 * i)) % 60 for i in range(4)}
         if subscripts != {0, 15, 30, 45}:
-            return _fail(name, f"(k={k}, r={r}): subscripts {sorted(subscripts)}")
-    return _ok(name, "all 960 periods")
+            return f"(k={k}, r={r}): subscripts {sorted(subscripts)}"
 
 
-def check_adjacent_zero_one() -> CheckResult:
-    name = "adjacent-zero-one"
+@_check("adjacent-zero-one", "all 960 periods")
+def check_adjacent_zero_one() -> str | None:
     for k, r in _unit_cases():
         terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
         if not any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)):
-            return _fail(name, f"(k={k}, r={r}): no adjacent 0, 1 pair")
-    return _ok(name, "all 960 periods")
+            return f"(k={k}, r={r}): no adjacent 0, 1 pair"
 
 
-def check_first_zero_minimality() -> CheckResult:
-    name = "first-zero-minimality"
+@_check("first-zero-minimality", "all 960 cases")
+def check_first_zero_minimality() -> str | None:
     for k, r in _unit_cases():
         terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
         scanned = next((j for j, value in enumerate(terms) if value == 0), None)
         if scanned is None:
-            return _fail(name, f"(k={k}, r={r}): the period has no zero")
+            return f"(k={k}, r={r}): the period has no zero"
         computed = first_zero_index(k, r)
         if computed != scanned:
-            return _fail(name, f"(k={k}, r={r}): computed {computed}, scan found {scanned}")
-    return _ok(name, "all 960 cases")
+            return f"(k={k}, r={r}): computed {computed}, scan found {scanned}"
 
 
 _U60_INVERSES = {
@@ -434,39 +438,37 @@ _U60_INVERSES = {
 }
 
 
-def check_unit_group_tables() -> CheckResult:
-    name = "unit-group-tables"
+@_check("unit-group-tables", "U(10), U(60), and inverse involution for n in [2, 30]")
+def check_unit_group_tables() -> str | None:
     g10 = unit_group(10)
     if g10.elements != (1, 3, 7, 9) or g10.order != 4:
-        return _fail(name, f"U(10) came out as {g10.elements}")
+        return f"U(10) came out as {g10.elements}"
     if g10.inverse != {1: 1, 3: 7, 7: 3, 9: 9}:
-        return _fail(name, f"U(10) inverses came out as {g10.inverse}")
+        return f"U(10) inverses came out as {g10.inverse}"
     g60 = unit_group(60)
     if g60.order != 16 or g60.inverse != _U60_INVERSES:
-        return _fail(name, "U(60) inverses disagree with the reference table")
+        return "U(60) inverses disagree with the reference table"
     for n in range(2, 31):
         group = unit_group(n)
         for u in group.elements:
             v = group.inverse[u]
             if (u * v) % n != 1 or group.inverse[v] != u:
-                return _fail(name, f"U({n}): {u} and {v} are not mutual inverses")
-    return _ok(name, "U(10), U(60), and inverse involution for n in [2, 30]")
+                return f"U({n}): {u} and {v} are not mutual inverses"
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def check_diagram_vertex_counts() -> CheckResult:
-    name = "diagram-vertex-counts"
+@_check("diagram-vertex-counts", "all r in [1, 59] for three start indices")
+def check_diagram_vertex_counts() -> str | None:
     for k in (0, 3, 9):
         for r in range(1, 60):
             spec = SubsequenceSpec(k=k, r=r)
             scene = build_scene(spec)
             vertices = {p for edge in scene.edges for p in edge}
             if len(vertices) != star_polygon(spec).n:
-                return _fail(name, f"(k={k}, r={r}): {len(vertices)} distinct endpoints")
-    return _ok(name, "all r in [1, 59] for three start indices")
+                return f"(k={k}, r={r}): {len(vertices)} distinct endpoints"
 
 
 def _expected_label_line(p: int, label: int) -> str:
@@ -480,18 +482,16 @@ def _expected_label_line(p: int, label: int) -> str:
     )
 
 
-def check_diagram_labels() -> CheckResult:
-    name = "diagram-labels"
+@_check("diagram-labels", "all 60 labels at their clockwise-from-top positions")
+def check_diagram_labels() -> str | None:
     document = render_svg(build_scene(SubsequenceSpec(k=0, r=1))).decode("utf-8")
     for p in range(60):
         if _expected_label_line(p, fib_mod(p, 10)) not in document:
-            return _fail(name, f"label for circle index {p} is missing or misplaced")
-    return _ok(name, "all 60 labels at their clockwise-from-top positions")
+            return f"label for circle index {p} is missing or misplaced"
 
 
-def check_rotation_equivalence() -> CheckResult:
-    name = "diagram-rotation-equivalence"
-
+@_check("diagram-rotation-equivalence", "all 3540 (k, r) pairs")
+def check_rotation_equivalence() -> str | None:
     def edge_set(k: int, r: int) -> set[tuple[int, int]]:
         # an undirected edge as its (low, high) endpoint pair
         edges = build_scene(SubsequenceSpec(k=k, r=r)).edges
@@ -509,55 +509,17 @@ def check_rotation_equivalence() -> CheckResult:
                 k_next = (k + r) % CIRCLE_POINTS
                 following = first if k_next == start else edge_set(k_next, r)
                 if current != following:
-                    return _fail(name, f"(k={k}, r={r}): rotated scene draws different edges")
+                    return f"(k={k}, r={r}): rotated scene draws different edges"
                 current, k = following, k_next
-    return _ok(name, "all 3540 (k, r) pairs")
 
 
-def check_render_determinism() -> CheckResult:
-    name = "diagram-determinism"
+@_check("diagram-determinism", "repeated renders are byte-identical")
+def check_render_determinism() -> str | None:
     spec = SubsequenceSpec(k=3, r=25)
     if render_svg(build_scene(spec)) != render_svg(build_scene(spec)):
-        return _fail(name, "two renders of the same full scene differ")
+        return "two renders of the same full scene differ"
     if render_frames(spec) != render_frames(spec):
-        return _fail(name, "two frame sequences of the same spec differ")
-    return _ok(name, "repeated renders are byte-identical")
-
-
-ALL_CHECKS = (
-    check_fib_recurrence,
-    check_negative_reflection,
-    check_parity_law,
-    check_five_law,
-    check_index_addition,
-    check_fifteen_step_multiplier,
-    check_antipodal_sums,
-    check_period_contents,
-    check_polygon_parameters,
-    check_reversed_jumps,
-    check_twenty_vertex_steps,
-    check_square_tuples,
-    check_pentagon_tuples,
-    check_dodecagon_tuples,
-    check_forward_guarantee,
-    check_reverse_guarantee,
-    check_forward_seed_identity,
-    check_reverse_seed_identity,
-    check_negative_index_parity,
-    check_alignment_agreement,
-    check_unit_digit_law,
-    check_unit_values_are_units,
-    check_inverse_anchor_positions,
-    check_four_zeros,
-    check_zero_subscripts,
-    check_adjacent_zero_one,
-    check_first_zero_minimality,
-    check_unit_group_tables,
-    check_diagram_vertex_counts,
-    check_diagram_labels,
-    check_rotation_equivalence,
-    check_render_determinism,
-)
+        return "two frame sequences of the same spec differ"
 
 
 def run_all() -> list[CheckResult]:

@@ -47,6 +47,12 @@ class SubsequenceSpec:
             raise ValueError(f"jump size r must be in [1, 59], got {self.r}")
 
 
+def _require_spec(spec: SubsequenceSpec) -> None:
+    # only a SubsequenceSpec has had its k and r checked by __post_init__
+    if not isinstance(spec, SubsequenceSpec):
+        raise ValueError(f"expected a SubsequenceSpec, got {spec!r}")
+
+
 class DiagramType(enum.Enum):
     TYPE1 = "Type1"
     TYPE2 = "Type2"
@@ -71,6 +77,7 @@ def star_polygon(spec: SubsequenceSpec) -> StarPolygon:
     including r = 1 and r = 59. Otherwise the diagram is Type1 when r or
     60 - r divides 60 (a regular n-gon), else Type2.
     """
+    _require_spec(spec)
     r = spec.r
     g = math.gcd(r, CIRCLE_POINTS)
     n = CIRCLE_POINTS // g
@@ -104,6 +111,7 @@ def subsequence_period(spec: SubsequenceSpec) -> SubsequencePeriod:
     period repeated 60 times: index k + r*j of that table is F(k + r*j)
     mod 10 without a reduction mod 60.
     """
+    _require_spec(spec)
     k, r = spec.k, spec.r
     n = CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
     return SubsequencePeriod(spec=spec, terms=_unrolled_parent()[k : k + r * n : r])

@@ -22,6 +22,12 @@ def test_check_passes(verify_run, index):
     assert entry["passed"], entry
 
 
+def test_every_check_is_registered():
+    # a check_* function defined without the _check decorator would never run
+    defined = {name for name in vars(_checks) if name.startswith("check_")}
+    assert defined == {check.__name__ for check in CHECKS}
+
+
 def test_every_check_has_a_mutant():
     mutants = [*MUTANTS, *NAMED_MUTANTS.values()]
     assert {mutant.check for mutant in mutants} == set(CHECKS)

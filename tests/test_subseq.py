@@ -1,11 +1,13 @@
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pisano_lab.core import fib_mod
+from pisano_lab.render import build_scene, render_frames
 from pisano_lab.subseq import (
     DiagramType,
     SubsequenceSpec,
@@ -40,6 +42,16 @@ def test_parent_period_matches_reference():
 def test_spec_validation(k, r):
     with pytest.raises(ValueError):
         SubsequenceSpec(k=k, r=r)
+
+
+@pytest.mark.parametrize("entry", [subsequence_period, star_polygon, build_scene, render_frames])
+@pytest.mark.parametrize(
+    "fake", [SimpleNamespace(k=3590, r=1), (3, 25)], ids=["out-of-range-namespace", "tuple"]
+)
+def test_entry_points_refuse_a_non_spec(entry, fake):
+    # a look-alike object never ran the range checks of SubsequenceSpec
+    with pytest.raises(ValueError):
+        entry(fake)
 
 
 @pytest.mark.parametrize(
