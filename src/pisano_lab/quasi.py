@@ -50,7 +50,11 @@ def verify_quasi(period: SubsequencePeriod) -> QuasiClass:
     The subsequence is periodic, so the cyclic check (indices mod n) is
     equivalent to quantifying over the infinite sequence. Constant-ish
     periods such as (0, 0) can satisfy both directions at once.
+    Anything that is not a SubsequencePeriod raises ValueError.
     """
+    # a look-alike period never came from subsequence_period
+    if not isinstance(period, SubsequencePeriod):
+        raise ValueError(f"expected a SubsequencePeriod, got {period!r}")
     t = period.terms
     n = len(t)
     forward = all((t[j - 1] + t[j]) % 10 == t[(j + 1) % n] for j in range(n))

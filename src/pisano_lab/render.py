@@ -85,7 +85,13 @@ def _fmt(value: float) -> str:
 
 
 def render_svg(scene: DiagramScene) -> bytes:
-    """Serialize a scene to a standalone SVG 1.1 document."""
+    """Serialize a scene to a standalone SVG 1.1 document.
+
+    Anything that is not a DiagramScene raises ValueError.
+    """
+    # a look-alike scene may draw edges to points off the circle
+    if not isinstance(scene, DiagramScene):
+        raise ValueError(f"expected a DiagramScene, got {scene!r}")
     layout = circle_layout()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -1,6 +1,7 @@
 """Session fixtures shared by the test modules."""
 
 import contextlib
+import functools
 import io
 import json
 import time
@@ -11,6 +12,13 @@ import pytest
 from pisano_lab.cli import main
 
 
+class CliRun(NamedTuple):
+    code: int
+    stdout: str
+    written: bytes  # the bytes the command wrote to its --out path
+    elapsed_s: float
+
+
 class VerifyRun(NamedTuple):
     code: int
     stdout: str
@@ -19,12 +27,25 @@ class VerifyRun(NamedTuple):
 
 
 @pytest.fixture(scope="session")
-def verify_run(tmp_path_factory) -> VerifyRun:
+def run_cli(tmp_path_factory):
+    """Run a command at most once per session, with --out; gives its `CliRun`."""
+    out_dir = tmp_path_factory.mktemp("reports")
+
+    @functools.cache
+    def run_command(*argv) -> CliRun:
+        target = out_dir / "_".join(argv)
+        stdout = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--out", str(target)])
+        elapsed = time.perf_counter() - start
+        return CliRun(code, stdout.getvalue(), target.read_bytes(), elapsed)
+
+    return run_command
+
+
+@pytest.fixture(scope="session")
+def verify_run(run_cli) -> VerifyRun:
     """The one `verify` run of a session: text stdout plus the `--out` JSON report."""
-    target = tmp_path_factory.mktemp("verify") / "report.json"
-    stdout = io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(stdout):
-        code = main(["verify", "--out", str(target)])
-    elapsed = time.perf_counter() - start
-    return VerifyRun(code, stdout.getvalue(), json.loads(target.read_text()), elapsed)
+    run = run_cli("verify")
+    return VerifyRun(run.code, run.stdout, json.loads(run.written), run.elapsed_s)

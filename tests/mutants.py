@@ -3,8 +3,9 @@
 Each bug is a plausible slip: a wrong value at one argument, a dropped or
 extra reduction, a flipped orientation, or a wrong table entry. Where the
 check loops, the bug sits at the last case it visits, so a loop that stops
-early lets it through. `tests/test_checks.py` runs `MUTANTS`; each entry of
-`NAMED_MUTANTS` is run by the test of that name in `tests/test_cli.py`.
+early lets it through. `MUTANTS` is the one list, in the order of
+`_checks.ALL_CHECKS`; `tests/test_checks.py::test_mutant_is_caught` runs
+each entry under the id `<check>-<attr>`.
 """
 
 import dataclasses
@@ -100,8 +101,19 @@ def counterclockwise(real):
 
 C = _checks
 MUTANTS = [
+    # F(200) mod 30 is read only by the last case, n = 198 with m = 30
+    Mutant(
+        C.check_fib_recurrence, "fib_mod", fib_mod_wrong_at(200, 30), "recurrence breaks at n=198, m=30"
+    ),
+    Mutant(
+        C.check_negative_reflection, "fib_mod", fib_mod_wrong_at(-200, 30), "reflection breaks at n=200, m=30"
+    ),
     Mutant(C.check_parity_law, "fib_mod", fib_mod_wrong_at(1000, 2), "parity law breaks at n=1000"),
     Mutant(C.check_five_law, "fib_mod", fib_mod_wrong_at(1000, 5), "divisibility by 5 breaks at n=1000"),
+    # F(120) is read only by the last case, a = b = 60
+    Mutant(
+        C.check_index_addition, "fib_mod", fib_mod_wrong_at(120, 10), "addition identity breaks at a=60, b=60"
+    ),
     Mutant(
         C.check_fifteen_step_multiplier,
         "fib_mod",
@@ -126,6 +138,13 @@ MUTANTS = [
         "star_polygon",
         corrupt_at(spec(0, 59), lambda poly: dataclasses.replace(poly, diagram_type=DiagramType.TYPE1)),
         "r=59: type Type1, walk says Type3",
+    ),
+    # (59, 1) is the first pair whose reversed partner is the corrupted (59, 59)
+    Mutant(
+        C.check_reversed_jumps,
+        "subsequence_period",
+        period_wrong_at(59, 59, 0),
+        "(k=59, r=1): reversed jump is not the reversed period",
     ),
     Mutant(
         C.check_twenty_vertex_steps,
@@ -167,6 +186,18 @@ MUTANTS = [
     Mutant(C.check_reverse_seed_identity, "fib_mod", fib_mod_wrong_at(200, 10), "identity breaks at r=199"),
     Mutant(
         C.check_negative_index_parity, "fib_mod", fib_mod_wrong_at(-200, 10), "parity rule breaks at n=200"
+    ),
+    Mutant(
+        C.check_alignment_agreement,
+        "compute_shift",
+        unreduced_shift,
+        "(k=0, r=1): computed forward:60, oracle found forward:0",
+    ),
+    Mutant(
+        C.check_alignment_agreement,
+        "brute_force_shift",
+        corrupt_at((59, 59), lambda found: (found[0], (found[1] + 1) % 60)),
+        "(k=59, r=59): computed reverse:59, oracle found reverse:0",
     ),
     Mutant(
         C.check_unit_digit_law, "fib_mod", fib_mod_wrong_at(59, 10), "r=59: F(r) mod 10 is 2, expected 1"
@@ -224,6 +255,21 @@ MUTANTS = [
         corrupt_at(spec(9, 58), moved_endpoint),
         "(k=9, r=58): 31 distinct endpoints",
     ),
+    # p = 1 and its mirror image p = 59 both carry the label 1, so p = 2 is the first miss
+    Mutant(
+        C.check_diagram_labels,
+        "_angle_degrees",
+        counterclockwise,
+        "label for circle index 2 is missing or misplaced",
+        module=render,
+    ),
+    # (1, 59) is the last scene the orbit walk builds: r = 59 walks 0, 59, ..., 2, 1
+    Mutant(
+        C.check_rotation_equivalence,
+        "build_scene",
+        corrupt_at(spec(1, 59), dropped_edge),
+        "(k=2, r=59): rotated scene draws different edges",
+    ),
     Mutant(
         C.check_render_determinism,
         "render_frames",
@@ -232,59 +278,3 @@ MUTANTS = [
     ),
 ]
 
-# the first seeded bugs, each run by the test of the same name in test_cli.py
-NAMED_MUTANTS = {
-    "test_unreduced_shift_bug_is_caught": Mutant(
-        C.check_alignment_agreement,
-        "compute_shift",
-        unreduced_shift,
-        "(k=0, r=1): computed forward:60, oracle found forward:0",
-    ),
-    # F(200) mod 30 is read only by the last case, n = 198 with m = 30
-    "test_recurrence_bug_at_the_last_case_is_caught": Mutant(
-        C.check_fib_recurrence, "fib_mod", fib_mod_wrong_at(200, 30), "recurrence breaks at n=198, m=30"
-    ),
-    "test_reflection_bug_at_the_last_case_is_caught": Mutant(
-        C.check_negative_reflection, "fib_mod", fib_mod_wrong_at(-200, 30), "reflection breaks at n=200, m=30"
-    ),
-    # F(120) is read only by the last case, a = b = 60
-    "test_index_addition_bug_at_the_last_case_is_caught": Mutant(
-        C.check_index_addition, "fib_mod", fib_mod_wrong_at(120, 10), "addition identity breaks at a=60, b=60"
-    ),
-    # (59, 1) is the first pair whose reversed partner is the corrupted (59, 59)
-    "test_reversed_jump_bug_at_the_last_case_is_caught": Mutant(
-        C.check_reversed_jumps,
-        "subsequence_period",
-        period_wrong_at(59, 59, 0),
-        "(k=59, r=1): reversed jump is not the reversed period",
-    ),
-    # (1, 59) is the last scene the orbit walk builds: r = 59 walks 0, 59, ..., 2, 1
-    "test_rotation_bug_at_the_last_scene_is_caught": Mutant(
-        C.check_rotation_equivalence,
-        "build_scene",
-        corrupt_at(spec(1, 59), dropped_edge),
-        "(k=2, r=59): rotated scene draws different edges",
-    ),
-    "test_oracle_bug_at_the_last_case_is_caught": Mutant(
-        C.check_alignment_agreement,
-        "brute_force_shift",
-        corrupt_at((59, 59), lambda found: (found[0], (found[1] + 1) % 60)),
-        "(k=59, r=59): computed reverse:59, oracle found reverse:0",
-    ),
-    # p = 1 and its mirror image p = 59 both carry the label 1, so p = 2 is the first miss
-    "test_reversed_orientation_is_caught": Mutant(
-        C.check_diagram_labels,
-        "_angle_degrees",
-        counterclockwise,
-        "label for circle index 2 is missing or misplaced",
-        module=render,
-    ),
-}
-
-
-def assert_caught(monkeypatch, mutant: Mutant) -> None:
-    """Patch the bug in, run the check, and expect it to fail with the counterexample."""
-    monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
-    result = mutant.check()
-    assert result.passed is False
-    assert result.detail == mutant.detail

@@ -48,18 +48,6 @@ DODECAGON_TABLE = {
     4: (3, 4, 7, 1, 8, 9, 7, 6, 3, 9, 2, 1),
 }
 
-# Published inverse table of U(60).
-U60_INVERSES = {
-    1: 1, 7: 43, 11: 11, 13: 37, 17: 53, 19: 19, 23: 47, 29: 29,
-    31: 31, 37: 13, 41: 41, 43: 7, 47: 23, 49: 49, 53: 17, 59: 59,
-}
-
-# Published F(r) mod 10 values for every r in U(60).
-U60_FIB_VALUES = {
-    1: 1, 7: 3, 11: 9, 13: 3, 17: 7, 19: 1, 23: 7, 29: 9,
-    31: 9, 37: 7, 41: 1, 43: 7, 47: 3, 49: 9, 53: 3, 59: 1,
-}
-
 # The published 60-term period of the (k=9, r=13) subsequence.
 EXAMPLE_PERIOD_9_13 = (
     4, 1, 5, 6, 1, 7, 8, 5, 3, 8, 1, 9, 0, 9, 9, 8, 7, 5, 2, 7,

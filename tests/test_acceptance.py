@@ -63,9 +63,9 @@ def test_criterion_01_period_of_10(capsys):
     assert result.period == PARENT_PERIOD_10
     assert elapsed < 0.001
     assert main(["period", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "length: 60" in out
-    assert " ".join(str(v) for v in PARENT_PERIOD_10) in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "length: 60" in lines
+    assert "period: " + " ".join(str(v) for v in PARENT_PERIOD_10) in lines
     with capsys.disabled():
         report(1, f"period 10 has length 60 and the exact residues ({elapsed * 1000:.3f} ms)")
 

@@ -1,8 +1,5 @@
-import contextlib
 import enum
-import functools
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -14,8 +11,7 @@ from pisano_lab.cli import _dumps, main
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
-from mutants import NAMED_MUTANTS, assert_caught
-from oracles import PARENT_PERIOD_10, PERIOD_MOD_8
+from oracles import PERIOD_MOD_8
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -24,30 +20,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture(scope="module")
-def run_once(tmp_path_factory):
-    """Run a command at most once per module, with --out; gives (code, stdout, --out bytes)."""
-    out_dir = tmp_path_factory.mktemp("reports")
-
-    @functools.cache
-    def run_command(*argv):
-        target = out_dir / f"{'_'.join(argv)}.json"
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--out", str(target)])
-        return code, stdout.getvalue(), target.read_bytes()
-
-    return run_command
-
-
-def test_period_text(capsys):
-    code, out, _ = run(capsys, "period", "10")
-    assert code == 0
-    lines = out.splitlines()
-    assert "length: 60" in lines
-    assert "period: " + " ".join(str(v) for v in PARENT_PERIOD_10) in lines
 
 
 def test_period_json_matches_text(capsys):
@@ -121,8 +93,8 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-def test_sweep_counts(run_once):
-    code, out, _ = run_once("sweep")
+def test_sweep_counts(run_cli):
+    code, out, *_ = run_cli("sweep")
     assert code == 0
     rows = out.splitlines()
     assert len(rows) == 3540
@@ -137,8 +109,8 @@ def test_sweep_counts(run_once):
     assert by_type == {"Type1": 19 * 60, "Type2": 24 * 60, "Type3": 16 * 60}
 
 
-def test_sweep_json_agrees_with_text(run_once):
-    code, out, _ = run_once("sweep", "--format", "json")
+def test_sweep_json_agrees_with_text(run_cli):
+    code, out, *_ = run_cli("sweep", "--format", "json")
     assert code == 0
     report = json.loads(out)
     rows = report["results"]["rows"]
@@ -166,7 +138,7 @@ def test_verify_json_shape(verify_run):
     assert [f"PASS {c['name']} ({c['detail']})" for c in checks] == lines
 
 
-def test_report_written_to_out_path(capsys, tmp_path, run_once):
+def test_report_written_to_out_path(capsys, tmp_path, run_cli):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "classify", "--k", "3", "--r", "25", "--out", str(target))
     assert code == 0
@@ -174,7 +146,7 @@ def test_report_written_to_out_path(capsys, tmp_path, run_once):
     assert report["results"]["n"] == 12
     # in JSON mode the file holds exactly the bytes printed to stdout
     for argv in (("period", "8"), ("sweep",)):
-        code, out, written = run_once(*argv, "--format", "json")
+        code, out, written, _ = run_cli(*argv, "--format", "json")
         assert code == 0
         assert written == out.encode("utf-8")
 
@@ -193,8 +165,8 @@ PINNED_STDOUT = [
 
 
 @pytest.mark.parametrize("argv, digest, size", PINNED_STDOUT, ids=[" ".join(a) for a, _, _ in PINNED_STDOUT])
-def test_stdout_bytes_are_pinned(run_once, argv, digest, size):
-    code, out, _ = run_once(*argv)
+def test_stdout_bytes_are_pinned(run_cli, argv, digest, size):
+    code, out, *_ = run_cli(*argv)
     assert code == 0
     data = out.encode("utf-8")
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
@@ -288,39 +260,3 @@ def test_diagram_unwritable_path(capsys, tmp_path):
     code, _, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--out", str(target))
     assert code == 3
     assert "error" in err
-
-
-def test_unreduced_shift_bug_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_unreduced_shift_bug_is_caught"])
-
-
-def test_recurrence_bug_at_the_last_case_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_recurrence_bug_at_the_last_case_is_caught"])
-
-
-def test_reflection_bug_at_the_last_case_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_reflection_bug_at_the_last_case_is_caught"])
-
-
-def test_index_addition_bug_at_the_last_case_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_index_addition_bug_at_the_last_case_is_caught"])
-
-
-def test_reversed_jump_bug_at_the_last_case_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_reversed_jump_bug_at_the_last_case_is_caught"])
-
-
-def test_rotation_bug_at_the_last_scene_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_rotation_bug_at_the_last_scene_is_caught"])
-
-
-def test_oracle_bug_at_the_last_case_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_oracle_bug_at_the_last_case_is_caught"])
-
-
-def test_reversed_orientation_is_caught(monkeypatch):
-    assert_caught(monkeypatch, NAMED_MUTANTS["test_reversed_orientation_is_caught"])
-
-
-def test_every_named_mutant_has_a_test():
-    assert all(callable(globals().get(name)) for name in NAMED_MUTANTS)

@@ -84,13 +84,6 @@ def test_pisano_period_is_minimal():
             assert not (fib_mod(s, m) == 0 and fib_mod(s + 1, m) == 1), (m, s)
 
 
-def test_pisano_period_obeys_recurrence():
-    for m in range(2, 31):
-        period = pisano_period(m).period
-        for j in range(2, len(period)):
-            assert period[j] == (period[j - 1] + period[j - 2]) % m, (m, j)
-
-
 @pytest.mark.parametrize("n, expected", [(0, 0), (1, 10), (45, 0)])
 def test_antipodal_sum_examples(n, expected):
     assert antipodal_sum(n) == expected

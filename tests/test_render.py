@@ -5,7 +5,6 @@ import pytest
 from pisano_lab.render import (
     CANVAS,
     CIRCLE_RADIUS,
-    LABEL_RADIUS,
     build_scene,
     circle_layout,
     render_frames,
@@ -33,21 +32,6 @@ def test_layout_geometry():
     for p in range(60):
         px, py = layout.point(p)
         assert math.isclose(math.hypot(px - 300.0, py - 300.0), CIRCLE_RADIUS)
-
-
-@pytest.mark.parametrize(
-    "k, r, step_limit, expected_edges",
-    [
-        (3, 25, None, 12),
-        (9, 13, 10, 10),
-        (0, 30, None, 2),
-        (0, 1, None, 60),
-        (3, 25, 1, 1),
-    ],
-)
-def test_build_scene_edge_counts(k, r, step_limit, expected_edges):
-    scene = build_scene(SubsequenceSpec(k=k, r=r), step_limit=step_limit)
-    assert len(scene.edges) == expected_edges
 
 
 @pytest.mark.parametrize("bad_limit", [0, 13, -1, 61, 2.0, True])
@@ -86,23 +70,6 @@ def test_frames_grow_one_edge_at_a_time():
 
 def test_frame_count_for_pentagon():
     assert len(render_frames(SubsequenceSpec(k=0, r=12))) == 5
-
-
-def _expected_label_element(p: int, label: int) -> str:
-    # independent trigonometry: index 0 at the top, clockwise, 6 degrees apart
-    rad = math.radians(90.0 - 6.0 * p)
-    x = 300.0 + LABEL_RADIUS * math.cos(rad)
-    y = 300.0 - LABEL_RADIUS * math.sin(rad)
-    return (
-        f'<text x="{x:.3f}" y="{y:.3f}" font-size="11" text-anchor="middle" '
-        f'dominant-baseline="central">{label}</text>'
-    )
-
-
-def test_labels_spell_the_parent_period_clockwise_from_top():
-    document = render_svg(build_scene(SubsequenceSpec(k=0, r=1))).decode("utf-8")
-    for p in range(60):
-        assert _expected_label_element(p, PARENT_PERIOD_10[p]) in document, p
 
 
 def test_document_shape():

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pisano_lab.core import fib_mod
-from pisano_lab.render import build_scene, render_frames
+from pisano_lab.quasi import verify_quasi
+from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import (
     DiagramType,
     SubsequenceSpec,
@@ -22,7 +23,6 @@ from pisano_lab.subseq import (
 
 from oracles import (
     DODECAGON_TABLE,
-    LUCAS_PERIOD_10,
     PARENT_PERIOD_10,
     PENTAGON_TABLE,
     SQUARE_TABLE,
@@ -50,6 +50,20 @@ def test_spec_validation(k, r):
 )
 def test_entry_points_refuse_a_non_spec(entry, fake):
     # a look-alike object never ran the range checks of SubsequenceSpec
+    with pytest.raises(ValueError):
+        entry(fake)
+
+
+@pytest.mark.parametrize(
+    "entry, fake",
+    [
+        (verify_quasi, SimpleNamespace(spec=SimpleNamespace(k=1, r=2), terms=(1, 2, 3))),
+        (render_svg, SimpleNamespace(spec=SubsequenceSpec(k=0, r=1), edges=((0, 999),))),
+    ],
+    ids=["verify_quasi-look-alike-period", "render_svg-look-alike-scene"],
+)
+def test_entry_points_refuse_a_look_alike_result(entry, fake):
+    # a 3-term "period" or an edge to circle index 999 was never built by the library
     with pytest.raises(ValueError):
         entry(fake)
 
@@ -118,17 +132,6 @@ def test_pentagon_tuples_match_published_table():
 def test_dodecagon_tuples_match_published_table():
     for k, expected in DODECAGON_TABLE.items():
         assert dodecagon_tuple(k) == expected, k
-
-
-def test_dodecagon_tuple_classes_and_sums():
-    for k in range(60):
-        values = dodecagon_tuple(k)
-        if k % 5 == 0:
-            assert sum(values) == 40, k
-            assert is_cyclic_shift(values, (0, 5, 5) * 4), k
-        else:
-            assert sum(values) == 60, k
-            assert is_cyclic_shift(values, LUCAS_PERIOD_10), k
 
 
 @pytest.mark.parametrize(
