@@ -26,7 +26,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .complete import brute_force_shift, compute_shift, first_zero_index, unit_group
+from .complete import OracleFailureError, brute_force_shift, compute_shift, first_zero_index, unit_group
 from .core import antipodal_sum, fib_mod, lucas_mod, pisano_period
 from .quasi import QuasiClass, verify_quasi
 from .render import build_scene, render_frames, render_svg
@@ -346,7 +346,10 @@ def check_negative_index_parity() -> str | None:
 def check_alignment_agreement() -> str | None:
     for k, r in _unit_cases():
         cert = compute_shift(k, r)
-        direction, shift = brute_force_shift(k, r)
+        try:
+            direction, shift = brute_force_shift(k, r)
+        except OracleFailureError as exc:
+            return f"(k={k}, r={r}): oracle failed: {exc}"
         if (cert.direction, cert.shift) != (direction, shift):
             return (
                 f"(k={k}, r={r}): computed {cert.direction.value}:{cert.shift}, "

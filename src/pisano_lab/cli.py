@@ -52,7 +52,8 @@ def _dumps(value: object, newline: str = "\n") -> str:
 
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
     one generator call per value. Here only containers recurse: scalars are
-    encoded in the loop of their container, and an all-int list in one join.
+    encoded in the loop of their container, and an all-int list by one
+    C-level `%` format, so no string is built per item.
     """
     encode = _SCALAR_ENCODERS.get(type(value))
     if encode is not None:
@@ -63,13 +64,13 @@ def _dumps(value: object, newline: str = "\n") -> str:
     if not value:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "
+    # an exact type test: %d would print True as 1 and 1.5 as 1
     if kind is list and set(map(type, value)) == {int}:
-        body = map(int.__repr__, value)
-    else:
-        body = [
-            scalar(item) if (scalar := _SCALAR_ENCODERS.get(type(item))) else _dumps(item, inner)
-            for item in (value.values() if kind is dict else value)
-        ]
+        return ("[" + inner + "%d" + ("," + inner + "%d") * (len(value) - 1) + newline + "]") % tuple(value)
+    body = [
+        scalar(item) if (scalar := _SCALAR_ENCODERS.get(type(item))) else _dumps(item, inner)
+        for item in (value.values() if kind is dict else value)
+    ]
     if kind is list:
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     # encode_basestring_ascii raises TypeError on a key that is not a str
@@ -115,7 +116,7 @@ def cmd_period(args: argparse.Namespace) -> int:
     }
 
     def text() -> list[str]:
-        return [f"modulus: {m}", f"length: {result.length}", "period: " + " ".join(map(str, result.period))]
+        return [f"modulus: {m}", f"length: {result.length}", ("period:" + " %d" * result.length) % result.period]
 
     _emit(report, text, args)
     return EXIT_OK

@@ -93,16 +93,14 @@ def pisano_period(m: int) -> PisanoPeriod:
     residues = []
     append = residues.append
     a, b = 0, 1  # F(i), F(i+1)
-    i = 0
-    while True:
+    for _ in range(cap):
         append(a)
         a, b = b, (a + b) % m
-        i += 1
         if a == 0 and b == 1:
             break
-        if i > cap:
-            raise RuntimeError("period scan exceeded the pigeonhole bound")
-    return PisanoPeriod(modulus=m, length=i, period=tuple(residues))
+    else:
+        raise RuntimeError("period scan exceeded the pigeonhole bound")
+    return PisanoPeriod(modulus=m, length=len(residues), period=tuple(residues))
 
 
 def antipodal_sum(n: int) -> int:

@@ -12,7 +12,7 @@ import dataclasses
 import itertools
 from typing import Any, Callable, NamedTuple
 
-from pisano_lab import _checks, render
+from pisano_lab import _checks, complete, render
 from pisano_lab.complete import ShiftDirection
 from pisano_lab.core import lucas_mod
 from pisano_lab.subseq import DiagramType, SubsequenceSpec
@@ -198,6 +198,14 @@ MUTANTS = [
         "brute_force_shift",
         corrupt_at((59, 59), lambda found: (found[0], (found[1] + 1) % 60)),
         "(k=59, r=59): computed reverse:59, oracle found reverse:0",
+    ),
+    # a period with no (0, 1) pair leaves the oracle no alignment: the check must fail, not raise
+    Mutant(
+        C.check_alignment_agreement,
+        "subsequence_period",
+        corrupt_at(spec(59, 59), lambda period: dataclasses.replace(period, terms=(0,) * 60)),
+        "(k=59, r=59): oracle failed: expected exactly one alignment for (k=59, r=59), found 0",
+        module=complete,
     ),
     Mutant(
         C.check_unit_digit_law, "fib_mod", fib_mod_wrong_at(59, 10), "r=59: F(r) mod 10 is 2, expected 1"

@@ -1,6 +1,7 @@
 import enum
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pisano_lab.cli import _dumps, main
+from pisano_lab.core import pisano_period
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
+from mutants import MUTANTS
 from oracles import PERIOD_MOD_8
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -91,6 +94,22 @@ def test_classify_rejects_out_of_range(capsys):
 
 def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: pisano-lab")
+
+
+def test_failing_verify_exits_1(capsys, monkeypatch):
+    mutant = MUTANTS[0]
+    monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL ") and lines[0].endswith(": " + mutant.detail)
+    assert lines[-1] == "verified: false"
 
 
 def test_sweep_counts(run_cli):
@@ -196,6 +215,20 @@ _JSON_VALUES = st.recursive(
 @example({'quo"te': 'back\\slash "quoted"', "ctl\x00\x1f\t\n": "é ü 中 \U0001f600 \ud800"})
 def test_dumps_matches_stdlib_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
+    value = list(pisano_period(6250).period)  # 37,500 residues
+    tracemalloc.start()
+    try:
+        encoded = _dumps(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert encoded == json.dumps(value, indent=2)
+    # one format string, one tuple and the output cost about 3x the output;
+    # a str per item, kept alive by a join, costs about 9x
+    assert peak < 5 * len(encoded)
 
 
 class _Colour(enum.Enum):

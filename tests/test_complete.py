@@ -4,7 +4,6 @@ import pytest
 
 from pisano_lab import complete
 from pisano_lab.complete import (
-    UNIT_GROUP_MAX_MODULUS,
     NotAUnitError,
     OracleFailureError,
     ShiftDirection,
@@ -45,9 +44,10 @@ def test_unit_group_rejects_bad_modulus():
 
 
 def test_unit_group_is_capped():
-    assert unit_group(UNIT_GROUP_MAX_MODULUS).modulus == UNIT_GROUP_MAX_MODULUS
+    # pinned by value, so moving the documented cap of 10,000 fails here
+    assert unit_group(10_000).order == 4000
     with pytest.raises(ValueError, match="only for n <="):
-        unit_group(UNIT_GROUP_MAX_MODULUS + 1)
+        unit_group(10_001)
 
 
 @pytest.mark.parametrize("u, expected", [(1, 0), (3, 1), (9, 2), (7, 3)])
