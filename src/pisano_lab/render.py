@@ -3,13 +3,15 @@
 Output is byte-identical across runs and platforms: trigonometry runs in
 double precision, every coordinate is rounded exactly once to three
 decimals at serialization, and element order is fixed (circle, ticks,
-labels, edges).
+labels, edges). Frame s of `render_frames` is the full document with only
+its first s + 1 `<line>` elements, after the same head.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, star_polygon
 
@@ -23,30 +25,41 @@ LABEL_RADIUS = 264.0
 # last walk point any scene reads (k = 59, r = 59, 60 edges)
 _CIRCLE_INDICES = tuple(range(CIRCLE_POINTS)) * CIRCLE_POINTS
 
+_EDGE = '  <line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" stroke-width="1"/>\n'
+
 
 def _angle_degrees(p: int) -> float:
     # index 0 at the top of the circle, advancing clockwise, 6 degrees apart
     return 90.0 - 6.0 * (p % CIRCLE_POINTS)
 
 
-@dataclass(frozen=True)
-class CircleLayout:
-    """Positions and labels of the 60 circle points."""
+def circle_layout() -> tuple[str, tuple[tuple[str, str], ...]]:
+    """The document head and the formatted (x, y) of each circle point.
 
-    labels: tuple[int, ...]
-
-    def point(self, p: int, radius: float = CIRCLE_RADIUS) -> tuple[float, float]:
-        """Screen coordinates of circle index p at the given radius.
-
-        Screen y grows downward, so the y component subtracts the sine.
-        """
-        rad = math.radians(_angle_degrees(p))
-        return (CENTER + radius * math.cos(rad), CENTER - radius * math.sin(rad))
-
-
-def circle_layout() -> CircleLayout:
-    """The standard layout: label p shows F(p) mod 10."""
-    return CircleLayout(labels=parent_period())
+    The head is everything before the first edge: header, circle, tick
+    path and the 60 labels, label p showing F(p) mod 10.
+    """
+    radians = [math.radians(_angle_degrees(p)) for p in range(CIRCLE_POINTS)]
+    # screen y grows downward, so the y component subtracts the sine
+    points, tick_ends, label_spots = (
+        [(f"{CENTER + radius * math.cos(a):.3f}", f"{CENTER - radius * math.sin(a):.3f}") for a in radians]
+        for radius in (CIRCLE_RADIUS, TICK_RADIUS, LABEL_RADIUS)
+    )
+    ticks = " ".join(f"M {x1} {y1} L {x2} {y2}" for (x1, y1), (x2, y2) in zip(points, tick_ends))
+    head = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
+        f'viewBox="0 0 {CANVAS} {CANVAS}">',
+        f'  <circle cx="{CENTER:.3f}" cy="{CENTER:.3f}" r="{CIRCLE_RADIUS:.3f}" '
+        'fill="none" stroke="blue" stroke-width="1.5"/>',
+        f'  <path stroke="blue" stroke-width="1" fill="none" d="{ticks}"/>',
+        *(
+            f'  <text x="{x}" y="{y}" font-size="11" text-anchor="middle" '
+            f'dominant-baseline="central">{label}</text>'
+            for (x, y), label in zip(label_spots, parent_period())
+        ),
+    ]
+    return "".join(line + "\n" for line in head), tuple(points)
 
 
 @dataclass(frozen=True)
@@ -80,54 +93,38 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> Diagram
     return DiagramScene(spec=spec, edges=tuple(zip(walk, walk[1:])))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.3f}"
+def _edge_lines(edges: tuple[tuple[int, int], ...], points: tuple[tuple[str, str], ...]) -> list[str]:
+    return [_EDGE % (points[a] + points[b]) for a, b in edges]
+
+
+def _document(head: str, lines: list[str]) -> bytes:
+    return (head + "".join(lines) + "</svg>\n").encode("utf-8")
 
 
 def render_svg(scene: DiagramScene) -> bytes:
     """Serialize a scene to a standalone SVG 1.1 document.
 
-    Anything that is not a DiagramScene raises ValueError.
+    Anything that is not a DiagramScene, or an edge endpoint that is not
+    an int in [0, 59], raises ValueError.
     """
-    # a look-alike scene may draw edges to points off the circle
+    # a look-alike or hand-built scene may draw edges off the circle; bool is refused too
     if not isinstance(scene, DiagramScene):
         raise ValueError(f"expected a DiagramScene, got {scene!r}")
-    layout = circle_layout()
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
-        f'viewBox="0 0 {CANVAS} {CANVAS}">',
-        f'  <circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(CIRCLE_RADIUS)}" '
-        'fill="none" stroke="blue" stroke-width="1.5"/>',
-    ]
-    ticks = []
-    for p in range(CIRCLE_POINTS):
-        x1, y1 = layout.point(p)
-        x2, y2 = layout.point(p, TICK_RADIUS)
-        ticks.append(f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}")
-    lines.append(f'  <path stroke="blue" stroke-width="1" fill="none" d="{" ".join(ticks)}"/>')
-    for p in range(CIRCLE_POINTS):
-        x, y = layout.point(p, LABEL_RADIUS)
-        lines.append(
-            f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="11" text-anchor="middle" '
-            f'dominant-baseline="central">{layout.labels[p]}</text>'
-        )
-    for a, b in scene.edges:
-        x1, y1 = layout.point(a)
-        x2, y2 = layout.point(b)
-        lines.append(
-            f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    endpoints = tuple(chain.from_iterable(scene.edges))
+    if not (set(map(type, endpoints)) <= {int} and set(endpoints) <= set(range(CIRCLE_POINTS))):
+        raise ValueError(f"edge endpoints must be ints in [0, {CIRCLE_POINTS - 1}], got {scene.edges!r}")
+    head, points = circle_layout()
+    return _document(head, _edge_lines(scene.edges, points))
 
 
 def render_frames(spec: SubsequenceSpec) -> list[bytes]:
     """One SVG per construction step; frame s shows the first s + 1 edges.
 
-    The last frame is the complete closed diagram, byte-identical to
-    rendering the full scene.
+    The scene is built and each edge formatted once. Frame s equals
+    `render_svg(build_scene(spec, step_limit=s + 1))`, and the last frame
+    is the complete closed diagram.
     """
-    n = star_polygon(spec).n
-    return [render_svg(build_scene(spec, step_limit=s + 1)) for s in range(n)]
+    edges = build_scene(spec).edges  # first, so a bad spec pays for no layout
+    head, points = circle_layout()
+    lines = _edge_lines(edges, points)
+    return [_document(head, lines[: s + 1]) for s in range(len(lines))]

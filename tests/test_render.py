@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -20,18 +21,19 @@ def edge_lines(document: bytes) -> list[bytes]:
 
 
 def test_layout_labels_are_the_parent_period():
-    assert circle_layout().labels == PARENT_PERIOD_10
+    head, _ = circle_layout()
+    labels = re.findall(r"<text [^>]*>(\d)</text>", head)
+    assert tuple(map(int, labels)) == PARENT_PERIOD_10
 
 
 def test_layout_geometry():
-    layout = circle_layout()
-    x, y = layout.point(0)
-    assert (round(x, 6), round(y, 6)) == (300.0, 60.0)  # top of the circle
-    x15, y15 = layout.point(15)
-    assert (round(x15, 6), round(y15, 6)) == (540.0, 300.0)  # due east: clockwise
-    for p in range(60):
-        px, py = layout.point(p)
-        assert math.isclose(math.hypot(px - 300.0, py - 300.0), CIRCLE_RADIUS)
+    _, points = circle_layout()
+    assert len(points) == 60
+    assert points[0] == ("300.000", "60.000")  # top of the circle
+    assert points[15] == ("540.000", "300.000")  # due east: clockwise
+    for x, y in points:
+        # each coordinate is rounded to three decimals
+        assert math.isclose(math.hypot(float(x) - 300.0, float(y) - 300.0), CIRCLE_RADIUS, abs_tol=1e-3)
 
 
 @pytest.mark.parametrize("bad_limit", [0, 13, -1, 61, 2.0, True])
@@ -59,12 +61,15 @@ def test_full_scene_has_exactly_n_line_elements():
     assert len(edge_lines(document)) == 12
 
 
-def test_frames_grow_one_edge_at_a_time():
-    spec = SubsequenceSpec(k=3, r=25)
+@pytest.mark.parametrize("k, r, n", [(3, 25, 12), (9, 13, 60)])
+def test_frames_grow_one_edge_at_a_time(k, r, n):
+    spec = SubsequenceSpec(k=k, r=r)
     frames = render_frames(spec)
-    assert len(frames) == 12
+    assert len(frames) == n
     for s, frame in enumerate(frames):
         assert len(edge_lines(frame)) == s + 1
+        # each frame is its step-limited render, after the same head
+        assert frame == render_svg(build_scene(spec, step_limit=s + 1)), s
     assert frames[-1] == render_svg(build_scene(spec))
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from pisano_lab.core import fib_mod
 from pisano_lab.quasi import verify_quasi
-from pisano_lab.render import build_scene, render_frames, render_svg
+from pisano_lab.render import DiagramScene, build_scene, render_frames, render_svg
 from pisano_lab.subseq import (
     DiagramType,
+    SubsequencePeriod,
     SubsequenceSpec,
     dodecagon_tuple,
     is_cyclic_shift,
@@ -59,11 +60,30 @@ def test_entry_points_refuse_a_non_spec(entry, fake):
     [
         (verify_quasi, SimpleNamespace(spec=SimpleNamespace(k=1, r=2), terms=(1, 2, 3))),
         (render_svg, SimpleNamespace(spec=SubsequenceSpec(k=0, r=1), edges=((0, 999),))),
+        *(
+            (verify_quasi, SubsequencePeriod(spec=SubsequenceSpec(k=0, r=1), terms=terms))
+            for terms in [(1, 2, 3), (0,) * 59 + (10,), (0,) * 59 + (True,)]
+        ),
+        *(
+            (render_svg, DiagramScene(spec=SubsequenceSpec(k=0, r=1), edges=(edge,)))
+            for edge in [(0, 999), (0, -1), (0, 1.5), (True, 1)]
+        ),
     ],
-    ids=["verify_quasi-look-alike-period", "render_svg-look-alike-scene"],
+    ids=[
+        "verify_quasi-look-alike-period",
+        "render_svg-look-alike-scene",
+        "verify_quasi-three-terms",
+        "verify_quasi-term-10",
+        "verify_quasi-term-True",
+        "render_svg-endpoint-999",
+        "render_svg-endpoint-minus-1",
+        "render_svg-endpoint-1.5",
+        "render_svg-endpoint-True",
+    ],
 )
 def test_entry_points_refuse_a_look_alike_result(entry, fake):
-    # a 3-term "period" or an edge to circle index 999 was never built by the library
+    # a 3-term "period" or an edge to circle index 999 was never built by the library,
+    # whether it comes as a look-alike object or as the real result type built by hand
     with pytest.raises(ValueError):
         entry(fake)
 
