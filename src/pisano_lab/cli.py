@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 content as JSON with --format json; --out writes the JSON report to a
 file (for diagram, --out is the SVG target instead). A JSON report is
 `json.dumps(report, indent=2)` byte for byte, and --out writes those
-bytes plus a newline.
+bytes plus a newline. The report is encoded once and written piece by
+piece, to stdout and --out alike; --out is opened before anything is
+printed, so an unwritable path exits 3 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 # imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
@@ -37,7 +41,7 @@ def _bool_text(value: bool) -> str:
 
 
 # Each scalar a report holds, mapped to a C-level function that encodes it as
-# json.dumps does; containers are walked by _dumps, anything else is refused.
+# json.dumps does; containers are walked by _chunks, anything else is refused.
 _SCALAR_ENCODERS: dict[type, Callable[[object], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -45,37 +49,68 @@ _SCALAR_ENCODERS: dict[type, Callable[[object], str]] = {
     type(None): {None: "null"}.__getitem__,
 }
 
+# ints per `%` format of an all-int list: the template and the tuple for one
+# block stay near 40 KB and 32 KB, whatever the length of the list
+_INT_BLOCK = 4096
 
-def _dumps(value: object, newline: str = "\n") -> str:
-    """The bytes of `json.dumps(value, indent=2)` for dicts with str keys,
-    lists, str, int, bool and None; any other type raises TypeError.
+
+def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
+    """The text of `json.dumps(value, indent=2)`, in pieces, for dicts with
+    str keys, lists, str, int, bool and None; any other type raises TypeError
+    when the walk reaches it.
 
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
-    one generator call per value. Here only containers recurse: scalars are
-    encoded in the loop of their container, and an all-int list by one
-    C-level `%` format, so no string is built per item.
+    one generator call per value. Here only containers recurse: the scalars
+    of a container are encoded in its loop and joined into one piece until a
+    nested container starts, and an all-int list is formatted by one C-level
+    `%` per block of _INT_BLOCK ints, so no string is built per item and no
+    piece grows with the length of a list.
     """
     encode = _SCALAR_ENCODERS.get(type(value))
     if encode is not None:
-        return encode(value)
+        yield encode(value)
+        return
     kind = type(value)
     if kind is not dict and kind is not list:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
-        return "{}" if kind is dict else "[]"
+        yield "{}" if kind is dict else "[]"
+        return
     inner = newline + "  "
     # an exact type test: %d would print True as 1 and 1.5 as 1
     if kind is list and set(map(type, value)) == {int}:
-        return ("[" + inner + "%d" + ("," + inner + "%d") * (len(value) - 1) + newline + "]") % tuple(value)
-    body = [
-        scalar(item) if (scalar := _SCALAR_ENCODERS.get(type(item))) else _dumps(item, inner)
-        for item in (value.values() if kind is dict else value)
-    ]
-    if kind is list:
-        return "[" + inner + ("," + inner).join(body) + newline + "]"
-    # encode_basestring_ascii raises TypeError on a key that is not a str
-    body = map("{}: {}".format, map(encode_basestring_ascii, value), body)
-    return "{" + inner + ("," + inner).join(body) + newline + "}"
+        ints = iter(value)
+        yield "[" + inner + "%d" % next(ints)
+        later_int = "," + inner + "%d"
+        while block := tuple(islice(ints, _INT_BLOCK)):
+            yield (later_int * len(block)) % block
+        yield newline + "]"
+        return
+    if kind is dict:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        keys = map("%s: ".__mod__, map(encode_basestring_ascii, value))
+        items, brackets = value.values(), "{}"
+    else:
+        keys, items, brackets = repeat(""), value, "[]"
+    parts = [brackets[0]]
+    lead = inner
+    for key, item in zip(keys, items):
+        parts += lead, key
+        lead = "," + inner
+        scalar = _SCALAR_ENCODERS.get(type(item))
+        if scalar is not None:
+            parts.append(scalar(item))
+        else:
+            yield "".join(parts)
+            parts = []
+            yield from _chunks(item, inner)
+    parts.append(newline + brackets[1])
+    yield "".join(parts)
+
+
+def _dumps(value: object) -> str:
+    """The bytes of `json.dumps(value, indent=2)`, as one string; see _chunks."""
+    return "".join(_chunks(value))
 
 
 def _emit(
@@ -87,17 +122,26 @@ def _emit(
 ) -> None:
     """Print the report as JSON or as the text lines, built only in text mode.
 
-    The report is encoded at most once: stdout and --out get the same bytes.
+    --out is opened before anything is printed, so a path that cannot be
+    written fails with no output. The JSON report is then encoded once, piece
+    by piece: each piece goes to stdout (in JSON mode) and to --out, and both
+    end with a newline, so they get the same bytes and no string holds the
+    whole report. A TypeError for a value no report should hold, a program
+    bug, surfaces after the pieces before it are written.
     """
     # for diagram, --out names the SVG target, not a report file
-    write_out = report_out and args.out
-    encoded = _dumps(report) if args.format == "json" or write_out else None
-    if args.format == "json":
-        print(encoded)
-    else:
-        print("\n".join(text_lines()))
-    if write_out:
-        Path(args.out).write_text(encoded + "\n", encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") if report_out and args.out else nullcontext() as out:
+        sinks = [out.write] if out else []
+        if args.format == "json":
+            sinks.append(sys.stdout.write)
+        else:
+            print("\n".join(text_lines()))
+        if sinks:
+            for piece in _chunks(report):
+                for write in sinks:
+                    write(piece)
+            for write in sinks:
+                write("\n")
 
 
 def cmd_period(args: argparse.Namespace) -> int:
@@ -108,15 +152,16 @@ def cmd_period(args: argparse.Namespace) -> int:
     if m is None:
         print("error: a modulus is required", file=sys.stderr)
         return EXIT_BAD_ARGUMENTS
-    result = pisano_period(m)
+    # only the list the report encodes outlives the scan, not the tuple beside it
+    period = list(pisano_period(m).period)
     report = {
         "command": "period",
         "inputs": {"m": m},
-        "results": {"length": result.length, "period": list(result.period)},
+        "results": {"length": len(period), "period": period},
     }
 
     def text() -> list[str]:
-        return [f"modulus: {m}", f"length: {result.length}", ("period:" + " %d" * result.length) % result.period]
+        return [f"modulus: {m}", f"length: {len(period)}", ("period:" + " %d" * len(period)) % tuple(period)]
 
     _emit(report, text, args)
     return EXIT_OK

@@ -104,17 +104,26 @@ def _document(head: str, lines: list[str]) -> bytes:
 def render_svg(scene: DiagramScene) -> bytes:
     """Serialize a scene to a standalone SVG 1.1 document.
 
-    Anything that is not a DiagramScene, or an edge endpoint that is not
-    an int in [0, 59], raises ValueError.
+    Anything that is not a DiagramScene, or edges that are not a non-empty
+    tuple of pairs of ints in [0, 59], raise ValueError.
     """
-    # a look-alike or hand-built scene may draw edges off the circle; bool is refused too
+    # a look-alike or hand-built scene may hold no walk, or draw edges off the
+    # circle; bool is refused too. Each test is one C-level pass over the edges.
     if not isinstance(scene, DiagramScene):
         raise ValueError(f"expected a DiagramScene, got {scene!r}")
-    endpoints = tuple(chain.from_iterable(scene.edges))
-    if not (set(map(type, endpoints)) <= {int} and set(endpoints) <= set(range(CIRCLE_POINTS))):
-        raise ValueError(f"edge endpoints must be ints in [0, {CIRCLE_POINTS - 1}], got {scene.edges!r}")
+    edges = scene.edges
+    if not (
+        type(edges) is tuple
+        and set(map(type, edges)) == {tuple}
+        and set(map(len, edges)) == {2}
+        and set(map(type, endpoints := tuple(chain.from_iterable(edges)))) == {int}
+        and set(endpoints) <= set(range(CIRCLE_POINTS))
+    ):
+        raise ValueError(
+            f"edges must be a non-empty tuple of pairs of ints in [0, {CIRCLE_POINTS - 1}], got {edges!r}"
+        )
     head, points = circle_layout()
-    return _document(head, _edge_lines(scene.edges, points))
+    return _document(head, _edge_lines(edges, points))
 
 
 def render_frames(spec: SubsequenceSpec) -> list[bytes]:

@@ -1,6 +1,8 @@
+import contextlib
 import enum
 import hashlib
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -217,18 +219,31 @@ def test_dumps_matches_stdlib_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 
 
-def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
-    value = list(pisano_period(6250).period)  # 37,500 residues
+def _traced(call):
+    """The result of call() and the tracemalloc peak of making it."""
     tracemalloc.start()
     try:
-        encoded = _dumps(value)
-        _, peak = tracemalloc.get_traced_memory()
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
+    value = list(pisano_period(6250).period)  # 37,500 residues
+    encoded, peak = _traced(lambda: _dumps(value))
     assert encoded == json.dumps(value, indent=2)
-    # one format string, one tuple and the output cost about 3x the output;
-    # a str per item, kept alive by a join, costs about 9x
-    assert peak < 5 * len(encoded)
+    # the pieces held by the join and the joined output cost about 2x the output;
+    # a format string and a tuple as long as the list cost about 3x, a str per item about 9x
+    assert peak < 2.5 * len(encoded)
+
+
+def test_period_report_costs_little_beyond_the_scan():
+    # the report is streamed in pieces: no string, tuple or format string as long as the period
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        _, scan_peak = _traced(lambda: pisano_period(6250))
+        code, report_peak = _traced(lambda: main(["period", "--m", "6250", "--format", "json"]))
+    assert code == 0
+    assert report_peak < 1.3 * scan_peak
 
 
 class _Colour(enum.Enum):
@@ -293,3 +308,12 @@ def test_diagram_unwritable_path(capsys, tmp_path):
     code, _, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--out", str(target))
     assert code == 3
     assert "error" in err
+
+
+def test_report_unwritable_path_prints_nothing(capsys, tmp_path):
+    # --out is opened before the first piece of the report is printed
+    target = tmp_path / "missing-dir" / "r.json"
+    code, out, err = run(capsys, "period", "8", "--format", "json", "--out", str(target))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert out == ""

@@ -68,6 +68,10 @@ def test_entry_points_refuse_a_non_spec(entry, fake):
             (render_svg, DiagramScene(spec=SubsequenceSpec(k=0, r=1), edges=(edge,)))
             for edge in [(0, 999), (0, -1), (0, 1.5), (True, 1)]
         ),
+        *(
+            (render_svg, DiagramScene(spec=SubsequenceSpec(k=0, r=1), edges=edges))
+            for edges in [(5,), None, ((1, 2, 3),), ()]
+        ),
     ],
     ids=[
         "verify_quasi-look-alike-period",
@@ -79,10 +83,14 @@ def test_entry_points_refuse_a_non_spec(entry, fake):
         "render_svg-endpoint-minus-1",
         "render_svg-endpoint-1.5",
         "render_svg-endpoint-True",
+        "render_svg-edge-not-a-pair",
+        "render_svg-edges-None",
+        "render_svg-edge-of-three",
+        "render_svg-no-edges",
     ],
 )
 def test_entry_points_refuse_a_look_alike_result(entry, fake):
-    # a 3-term "period" or an edge to circle index 999 was never built by the library,
+    # a 3-term "period", an edge to circle index 999 or a scene with no edges was never built by the library,
     # whether it comes as a look-alike object or as the real result type built by hand
     with pytest.raises(ValueError):
         entry(fake)
