@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 content as JSON with --format json; --out writes the JSON report to a
 file (for diagram, --out is the SVG target instead). A JSON report is
 `json.dumps(report, indent=2)` byte for byte, and --out writes those
-bytes plus a newline. The report is encoded once and written piece by
-piece, to stdout and --out alike; --out is opened before anything is
-printed, so an unwritable path exits 3 with nothing on stdout.
+bytes plus a newline. The text of `period` and `classify` is rendered
+from the report's fields, one `key: value` line each. Either output is
+written piece by piece, and an int list in either one is formatted by
+the same block formatter; --out is opened before anything is printed,
+so an unwritable path exits 3 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -26,18 +28,16 @@ from typing import Callable, Iterable, Iterator
 from . import _checks
 from .complete import ShiftCertificate, compute_shift
 from .core import pisano_period
-from .quasi import predict_quasi, verify_quasi
+from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from .render import build_scene, render_frames, render_svg
-from .subseq import CIRCLE_POINTS, SubsequenceSpec, star_polygon, subsequence_period
+from .subseq import (
+    CIRCLE_POINTS, StarPolygon, SubsequencePeriod, SubsequenceSpec, star_polygon, subsequence_period,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_BAD_ARGUMENTS = 2
 EXIT_IO_FAILURE = 3
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # Each scalar a report holds, mapped to a C-level function that encodes it as
@@ -49,9 +49,24 @@ _SCALAR_ENCODERS: dict[type, Callable[[object], str]] = {
     type(None): {None: "null"}.__getitem__,
 }
 
-# ints per `%` format of an all-int list: the template and the tuple for one
+# text spells a scalar as str() does, except a bool (as JSON does) and None
+_TEXT_SCALARS: dict[type, Callable[[object], str]] = {
+    bool: _SCALAR_ENCODERS[bool],
+    type(None): {None: "none"}.__getitem__,
+}
+
+# ints per `%` format of an int list: the template and the tuple for one
 # block stay near 40 KB and 32 KB, whatever the length of the list
 _INT_BLOCK = 4096
+
+
+def _int_blocks(ints: Iterable[int], lead: str) -> Iterator[str]:
+    """Each int as `%d` after `lead` (which holds no `%`), one C-level `%` per
+    block of _INT_BLOCK ints, so no string is built per item and no piece
+    grows with the list."""
+    ints = iter(ints)
+    while block := tuple(islice(ints, _INT_BLOCK)):
+        yield ((lead + "%d") * len(block)) % block
 
 
 def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
@@ -62,9 +77,7 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
     one generator call per value. Here only containers recurse: the scalars
     of a container are encoded in its loop and joined into one piece until a
-    nested container starts, and an all-int list is formatted by one C-level
-    `%` per block of _INT_BLOCK ints, so no string is built per item and no
-    piece grows with the length of a list.
+    nested container starts, and an all-int list goes through _int_blocks.
     """
     encode = _SCALAR_ENCODERS.get(type(value))
     if encode is not None:
@@ -79,11 +92,8 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     inner = newline + "  "
     # an exact type test: %d would print True as 1 and 1.5 as 1
     if kind is list and set(map(type, value)) == {int}:
-        ints = iter(value)
-        yield "[" + inner + "%d" % next(ints)
-        later_int = "," + inner + "%d"
-        while block := tuple(islice(ints, _INT_BLOCK)):
-            yield (later_int * len(block)) % block
+        yield "[" + inner + "%d" % value[0]
+        yield from _int_blocks(islice(value, 1, None), "," + inner)
         yield newline + "]"
         return
     if kind is dict:
@@ -113,29 +123,43 @@ def _dumps(value: object) -> str:
     return "".join(_chunks(value))
 
 
-def _emit(
-    report: dict,
-    text_lines: Callable[[], Iterable[str]],
-    args: argparse.Namespace,
-    *,
-    report_out: bool = True,
-) -> None:
-    """Print the report as JSON or as the text lines, built only in text mode.
-
-    --out is opened before anything is printed, so a path that cannot be
-    written fails with no output. The JSON report is then encoded once, piece
-    by piece: each piece goes to stdout (in JSON mode) and to --out, and both
-    end with a newline, so they get the same bytes and no string holds the
-    whole report. A TypeError for a value no report should hold, a program
-    bug, surfaces after the pieces before it are written.
+def _text_lines(fields: dict, indent: str = "") -> Iterator[str]:
+    """The text view of report fields: one newline-terminated `key: value`
+    line per field, in order, in pieces. A dict becomes `key:` and an
+    indented block, an int list is space-separated through _int_blocks, a
+    bool reads true or false and None reads none.
     """
-    # for diagram, --out names the SVG target, not a report file
-    with open(args.out, "w", encoding="utf-8") if report_out and args.out else nullcontext() as out:
+    for key, value in fields.items():
+        kind = type(value)
+        if kind is dict:
+            yield f"{indent}{key}:\n"
+            yield from _text_lines(value, indent + "  ")
+        elif kind is list:
+            yield f"{indent}{key}:"
+            yield from _int_blocks(value, " ")
+            yield "\n"
+        else:
+            yield f"{indent}{key}: {_TEXT_SCALARS.get(kind, str)(value)}\n"
+
+
+def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: str | None) -> None:
+    """Print the report as JSON, or the newline-terminated pieces of text(),
+    which is called only in text mode; write the JSON report to out_path too.
+
+    out_path is opened before anything is printed, so a path that cannot be
+    written fails with no output. Neither output is joined into one string:
+    text pieces go to stdout as they are made, and the JSON report is encoded
+    once, piece by piece, each piece going to stdout (in JSON mode) and to
+    out_path, both ending with a newline, so they get the same bytes. A
+    TypeError for a value no report should hold, a program bug, surfaces
+    after the pieces before it are written.
+    """
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext() as out:
         sinks = [out.write] if out else []
-        if args.format == "json":
+        if fmt == "json":
             sinks.append(sys.stdout.write)
         else:
-            print("\n".join(text_lines()))
+            sys.stdout.writelines(text())
         if sinks:
             for piece in _chunks(report):
                 for write in sinks:
@@ -154,16 +178,9 @@ def cmd_period(args: argparse.Namespace) -> int:
         return EXIT_BAD_ARGUMENTS
     # only the list the report encodes outlives the scan, not the tuple beside it
     period = list(pisano_period(m).period)
-    report = {
-        "command": "period",
-        "inputs": {"m": m},
-        "results": {"length": len(period), "period": period},
-    }
-
-    def text() -> list[str]:
-        return [f"modulus: {m}", f"length: {len(period)}", ("period:" + " %d" * len(period)) % tuple(period)]
-
-    _emit(report, text, args)
+    results = {"length": len(period), "period": period}
+    report = {"command": "period", "inputs": {"m": m}, "results": results}
+    _emit(report, lambda: _text_lines({"modulus": m, **results}), args.format, args.out)
     return EXIT_OK
 
 
@@ -179,48 +196,33 @@ def _certificate_dict(cert: ShiftCertificate) -> dict:
     }
 
 
+def _classify(
+    spec: SubsequenceSpec,
+) -> tuple[StarPolygon, SubsequencePeriod, QuasiClass, QuasiPrediction, ShiftCertificate | None]:
+    """The classification of one subsequence: its polygon, its period, its
+    observed and predicted recurrence class, and, for a jump coprime to 60
+    only, its shift certificate."""
+    period = subsequence_period(spec)
+    cert = compute_shift(spec.k, spec.r) if math.gcd(spec.r, CIRCLE_POINTS) == 1 else None
+    return star_polygon(spec), period, verify_quasi(period), predict_quasi(spec.r), cert
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = SubsequenceSpec(k=args.k, r=args.r)
-    poly = star_polygon(spec)
-    period = subsequence_period(spec)
-    observed = verify_quasi(period)
-    predicted = predict_quasi(spec.r)
-    cert = compute_shift(spec.k, spec.r) if math.gcd(spec.r, CIRCLE_POINTS) == 1 else None
-    report = {
-        "command": "classify",
-        "inputs": {"k": spec.k, "r": spec.r},
-        "results": {
-            "n": poly.n,
-            "q": poly.q,
-            "type": poly.diagram_type.value,
-            "convex": poly.convex,
-            "terms": list(period.terms),
-            "quasi": observed.value,
-            "prediction": predicted.value,
-            "certificate": _certificate_dict(cert) if cert else None,
-        },
+    poly, period, observed, predicted, cert = _classify(spec)
+    inputs = {"k": spec.k, "r": spec.r}
+    results = {
+        "n": poly.n,
+        "q": poly.q,
+        "type": poly.diagram_type.value,
+        "convex": poly.convex,
+        "terms": list(period.terms),
+        "quasi": observed.value,
+        "prediction": predicted.value,
+        "certificate": _certificate_dict(cert) if cert else None,
     }
-
-    def text() -> list[str]:
-        lines = [
-            f"k: {spec.k}",
-            f"r: {spec.r}",
-            f"n: {poly.n}",
-            f"q: {poly.q}",
-            f"type: {poly.diagram_type.value}",
-            f"convex: {_bool_text(poly.convex)}",
-            "terms: " + " ".join(str(v) for v in period.terms),
-            f"quasi: {observed.value}",
-            f"prediction: {predicted.value}",
-        ]
-        if cert:
-            lines.append("certificate:")
-            lines.extend(f"  {key}: {value}" for key, value in _certificate_dict(cert).items())
-        else:
-            lines.append("certificate: none")
-        return lines
-
-    _emit(report, text, args)
+    report = {"command": "classify", "inputs": inputs, "results": results}
+    _emit(report, lambda: _text_lines({**inputs, **results}), args.format, args.out)
     return EXIT_OK
 
 
@@ -228,7 +230,7 @@ def _sweep_line(row: dict) -> str:
     shift_text = "-" if row["direction"] is None else f"{row['direction']}:{row['shift']}"
     return (
         f"k={row['k']} r={row['r']} n={row['n']} q={row['q']} type={row['type']} "
-        f"quasi={row['quasi']} prediction={row['prediction']} shift={shift_text}"
+        f"quasi={row['quasi']} prediction={row['prediction']} shift={shift_text}\n"
     )
 
 
@@ -236,15 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for k in range(CIRCLE_POINTS):
         for r in range(1, CIRCLE_POINTS):
-            spec = SubsequenceSpec(k=k, r=r)
-            poly = star_polygon(spec)
-            observed = verify_quasi(subsequence_period(spec))
-            predicted = predict_quasi(r)
-            if math.gcd(r, CIRCLE_POINTS) == 1:
-                cert = compute_shift(k, r)
-                direction, shift = cert.direction.value, cert.shift
-            else:
-                direction, shift = None, None
+            poly, _, observed, predicted, cert = _classify(SubsequenceSpec(k=k, r=r))
             rows.append(
                 {
                     "k": k,
@@ -254,42 +248,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "type": poly.diagram_type.value,
                     "quasi": observed.value,
                     "prediction": predicted.value,
-                    "direction": direction,
-                    "shift": shift,
+                    "direction": cert.direction.value if cert else None,
+                    "shift": cert.shift if cert else None,
                 }
             )
-    report = {
-        "command": "sweep",
-        "inputs": {},
-        "results": {"row_count": len(rows), "rows": rows},
-    }
-    _emit(report, lambda: map(_sweep_line, rows), args)
+    report = {"command": "sweep", "inputs": {}, "results": {"row_count": len(rows), "rows": rows}}
+    _emit(report, lambda: map(_sweep_line, rows), args.format, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = _checks.run_all()
     verified = all(result.passed for result in results)
-    report = {
-        "command": "verify",
-        "inputs": {},
-        "results": {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-        },
-        "verified": verified,
-    }
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    report = {"command": "verify", "inputs": {}, "results": {"checks": checks}, "verified": verified}
 
-    def text() -> list[str]:
-        lines = [
-            f"PASS {result.name} ({result.detail})" if result.passed else f"FAIL {result.name}: {result.detail}"
-            for result in results
-        ]
-        lines.append(f"verified: {_bool_text(verified)}")
-        return lines
+    def text() -> Iterator[str]:
+        for r in results:
+            yield f"PASS {r.name} ({r.detail})\n" if r.passed else f"FAIL {r.name}: {r.detail}\n"
+        yield from _text_lines({"verified": verified})
 
-    _emit(report, text, args)
+    _emit(report, text, args.format, args.out)
     return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
 
 
@@ -319,7 +298,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         "inputs": {"k": spec.k, "r": spec.r, "steps": args.steps, "frames": args.frames},
         "results": results,
     }
-    _emit(report, lambda: (f"wrote {path}" for path in files), args, report_out=False)
+    # --out named the SVG target above, so no report file is written here
+    _emit(report, lambda: (f"wrote {path}\n" for path in files), args.format, None)
     return EXIT_OK
 
 

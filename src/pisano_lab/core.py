@@ -84,22 +84,22 @@ class PisanoPeriod:
 def pisano_period(m: int) -> PisanoPeriod:
     """Length and residues of the Fibonacci period modulo m.
 
-    Scans for the first recurrence of the adjacent pair (0, 1). The scan
-    is guaranteed to stop within 2*(m**2 - 1) steps by pigeonhole, so the
-    cap below can only fire on an implementation bug.
+    Scans for the first recurrence of the adjacent pair (0, 1). The period
+    has at most 6m terms, with equality exactly when m = 2 * 5**k, k >= 1
+    (Freyd and Brown 1992), so the cap below can only fire on an
+    implementation bug, and then after at most 6m residues.
     """
     _require_modulus(m)
-    cap = 2 * (m * m - 1) + 2
     residues = []
     append = residues.append
     a, b = 0, 1  # F(i), F(i+1)
-    for _ in range(cap):
+    for _ in range(6 * m):
         append(a)
         a, b = b, (a + b) % m
         if a == 0 and b == 1:
             break
     else:
-        raise RuntimeError("period scan exceeded the pigeonhole bound")
+        raise RuntimeError("period scan exceeded the bound of 6m terms")
     return PisanoPeriod(modulus=m, length=len(residues), period=tuple(residues))
 
 

@@ -153,8 +153,9 @@ def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
     Uses the doubling trick: b is a rotation of a exactly when it occurs
     as a window of a concatenated with itself. Both are written as
     comma-terminated tokens, so one C-level substring search, linear in
-    the length, finds a window that starts on a term boundary.
+    the length, finds a window that starts on a term boundary; a window
+    as long as the tokens of a is a rotation of all of a. Anything but
+    two sequences of ints raises ValueError.
     """
-    if len(a) != len(b):
-        return False
-    return "," + _tokens(b) in "," + _tokens(a) * 2
+    a_tokens, b_tokens = _tokens(a), _tokens(b)
+    return len(a_tokens) == len(b_tokens) and "," + b_tokens in "," + a_tokens * 2

@@ -172,7 +172,7 @@ def test_report_written_to_out_path(capsys, tmp_path, run_cli):
         assert written == out.encode("utf-8")
 
 
-# sha256 and length of the stdout of three commands; a change to these bytes
+# sha256 and length of the stdout of six commands; a change to these bytes
 # must be deliberate
 PINNED_STDOUT = [
     (("sweep", "--format", "json"), "7495a0e6c02d6bcfc987779415c6ad196df37c53eeec7805b77bc04678c761ea", 789_349),
@@ -182,6 +182,9 @@ PINNED_STDOUT = [
         "12e97cfe091866ec2406a8fb258749a72a1c1096563c0c02ef04e3965a3411fa",
         443_461,
     ),
+    (("period", "--m", "6250"), "30f2c45cc0ff6f056291193b8e564eba27e87385ca9bab64e50889ef731a1be7", 180_876),
+    (("classify", "--k", "9", "--r", "13"), "c9bc3e6ffa0cb77d5ddf07e222dfd65ef7c0cb9d3e5fa7980800a54b0f2755da", 343),
+    (("classify", "--k", "3", "--r", "25"), "09ad64410c029a7351f45f85339f3fdfd692235283fd415a381333af9286ca35", 132),
 ]
 
 
@@ -237,13 +240,14 @@ def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
     assert peak < 2.5 * len(encoded)
 
 
-def test_period_report_costs_little_beyond_the_scan():
-    # the report is streamed in pieces: no string, tuple or format string as long as the period
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_period_report_costs_little_beyond_the_scan(fmt):
+    # either output is streamed in pieces: no string, tuple or format string as long as the period
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         _, scan_peak = _traced(lambda: pisano_period(6250))
-        code, report_peak = _traced(lambda: main(["period", "--m", "6250", "--format", "json"]))
+        code, report_peak = _traced(lambda: main(["period", "--m", "6250", "--format", fmt]))
     assert code == 0
-    assert report_peak < 1.3 * scan_peak
+    assert report_peak < 1.2 * scan_peak
 
 
 class _Colour(enum.Enum):

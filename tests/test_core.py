@@ -77,6 +77,12 @@ def test_pisano_lengths_match_slow_scan():
         assert pisano_period(m).length == slow_pisano_length(m), m
 
 
+def test_pisano_period_reaches_six_m_at_twice_a_power_of_five():
+    # pi(m) <= 6m, with equality exactly at m = 2 * 5**k: a scan cap one term short fails here
+    for k in range(1, 6):
+        assert pisano_period(2 * 5**k).length == 12 * 5**k, k
+
+
 def test_pisano_period_is_minimal():
     for m in range(2, 21):
         length = pisano_period(m).length

@@ -217,3 +217,7 @@ def test_is_cyclic_shift_rejects_non_int_terms():
     for bad in ((1.0,), ("1",)):
         with pytest.raises(ValueError):
             is_cyclic_shift(bad, (1,))
+    # not sequences at all
+    for a, b in ((5, 5), (None, (1,)), ([1], 5)):
+        with pytest.raises(ValueError, match="sequences of ints"):
+            is_cyclic_shift(a, b)
