@@ -491,7 +491,7 @@ def _expected_label_line(p: int, label: int) -> str:
 
 @_check("diagram-labels", "all 60 labels at their clockwise-from-top positions")
 def check_diagram_labels() -> str | None:
-    document = render_svg(build_scene(SubsequenceSpec(k=0, r=1))).decode("utf-8")
+    document = render_svg(SubsequenceSpec(k=0, r=1)).decode("utf-8")
     for p in range(60):
         if _expected_label_line(p, fib_mod(p, 10)) not in document:
             return f"label for circle index {p} is missing or misplaced"
@@ -523,7 +523,7 @@ def check_rotation_equivalence() -> str | None:
 @_check("diagram-determinism", "repeated renders are byte-identical")
 def check_render_determinism() -> str | None:
     spec = SubsequenceSpec(k=3, r=25)
-    if render_svg(build_scene(spec)) != render_svg(build_scene(spec)):
+    if render_svg(spec) != render_svg(spec):
         return "two renders of the same full scene differ"
     if render_frames(spec) != render_frames(spec):
         return "two frame sequences of the same spec differ"

@@ -15,6 +15,7 @@ so an unwritable path exits 3 with nothing on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -29,7 +30,7 @@ from . import _checks
 from .complete import ShiftCertificate, compute_shift
 from .core import pisano_period
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
-from .render import build_scene, render_frames, render_svg
+from .render import render_frames, render_svg
 from .subseq import (
     CIRCLE_POINTS, StarPolygon, SubsequencePeriod, SubsequenceSpec, star_polygon, subsequence_period,
 )
@@ -154,7 +155,7 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
     TypeError for a value no report should hold, a program bug, surfaces
     after the pieces before it are written.
     """
-    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext() as out:
+    with open(out_path, "w", encoding="utf-8") if out_path is not None else nullcontext() as out:
         sinks = [out.write] if out else []
         if fmt == "json":
             sinks.append(sys.stdout.write)
@@ -185,15 +186,9 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def _certificate_dict(cert: ShiftCertificate) -> dict:
-    return {
-        "unit_digit": cert.unit_digit,
-        "log_index": cert.log_index,
-        "zero_vertex": cert.zero_vertex,
-        "restart_index": cert.restart_index,
-        "first_zero": cert.first_zero,
-        "direction": cert.direction.value,
-        "shift": cert.shift,
-    }
+    # every field in declaration order but k and r, which the report gives as its inputs
+    fields = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.name not in ("k", "r")}
+    return {**fields, "direction": cert.direction.value}
 
 
 def _classify(
@@ -289,10 +284,10 @@ def cmd_diagram(args: argparse.Namespace) -> int:
             files.append(str(path))
         results = {"files": files, "frame_count": len(files)}
     else:
-        scene = build_scene(spec, step_limit=args.steps)
-        out.write_bytes(render_svg(scene))
+        out.write_bytes(render_svg(spec, step_limit=args.steps))
         files = [str(out)]
-        results = {"files": files, "edge_count": len(scene.edges)}
+        # render_svg has refused any step count outside [1, n]
+        results = {"files": files, "edge_count": star_polygon(spec).n if args.steps is None else args.steps}
     report = {
         "command": "diagram",
         "inputs": {"k": spec.k, "r": spec.r, "steps": args.steps, "frames": args.frames},

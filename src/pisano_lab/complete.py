@@ -69,10 +69,10 @@ def index_log(u: int) -> int:
     Returns the unique i in {0, 1, 2, 3} with 3**i = u (mod 10), taking
     the exponent 0 for u = 1.
     """
-    try:
-        return _LOG_BASE_3[u]
-    except KeyError:
-        raise NotAUnitError(f"{u} is not an element of U(10)") from None
+    # an exact type test: True and 9.0 hash and compare equal to the units 1 and 9
+    if type(u) is not int or u not in _LOG_BASE_3:
+        raise NotAUnitError(f"{u!r} is not an element of U(10)")
+    return _LOG_BASE_3[u]
 
 
 def _require_unit(r: int) -> None:

@@ -1,17 +1,15 @@
-"""Deterministic SVG diagrams of the mod-10 circle and its subsequences.
+"""Deterministic SVG diagrams of the mod-10 circle, drawn from a (k, r) spec.
 
 Output is byte-identical across runs and platforms: trigonometry runs in
 double precision, every coordinate is rounded exactly once to three
 decimals at serialization, and element order is fixed (circle, ticks,
-labels, edges). Frame s of `render_frames` is the full document with only
-its first s + 1 `<line>` elements, after the same head.
+labels, edges).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, star_polygon
 
@@ -64,7 +62,7 @@ def circle_layout() -> tuple[str, tuple[tuple[str, str], ...]]:
 
 @dataclass(frozen=True)
 class DiagramScene:
-    """The walk edges of one subsequence diagram."""
+    """The walk edges of one subsequence diagram, as build_scene enumerates them."""
 
     spec: SubsequenceSpec
     edges: tuple[tuple[int, int], ...]
@@ -101,27 +99,10 @@ def _document(head: str, lines: list[str]) -> bytes:
     return (head + "".join(lines) + "</svg>\n").encode("utf-8")
 
 
-def render_svg(scene: DiagramScene) -> bytes:
-    """Serialize a scene to a standalone SVG 1.1 document.
-
-    Anything that is not a DiagramScene, or edges that are not a non-empty
-    tuple of pairs of ints in [0, 59], raise ValueError.
-    """
-    # a look-alike or hand-built scene may hold no walk, or draw edges off the
-    # circle; bool is refused too. Each test is one C-level pass over the edges.
-    if not isinstance(scene, DiagramScene):
-        raise ValueError(f"expected a DiagramScene, got {scene!r}")
-    edges = scene.edges
-    if not (
-        type(edges) is tuple
-        and set(map(type, edges)) == {tuple}
-        and set(map(len, edges)) == {2}
-        and set(map(type, endpoints := tuple(chain.from_iterable(edges)))) == {int}
-        and set(endpoints) <= set(range(CIRCLE_POINTS))
-    ):
-        raise ValueError(
-            f"edges must be a non-empty tuple of pairs of ints in [0, {CIRCLE_POINTS - 1}], got {edges!r}"
-        )
+def render_svg(spec: SubsequenceSpec, step_limit: int | None = None) -> bytes:
+    """The standalone SVG 1.1 document of `build_scene(spec, step_limit)`,
+    whose ValueError for bad input comes before any layout is formatted."""
+    edges = build_scene(spec, step_limit).edges
     head, points = circle_layout()
     return _document(head, _edge_lines(edges, points))
 
@@ -130,8 +111,8 @@ def render_frames(spec: SubsequenceSpec) -> list[bytes]:
     """One SVG per construction step; frame s shows the first s + 1 edges.
 
     The scene is built and each edge formatted once. Frame s equals
-    `render_svg(build_scene(spec, step_limit=s + 1))`, and the last frame
-    is the complete closed diagram.
+    `render_svg(spec, step_limit=s + 1)`, and the last frame is the
+    complete closed diagram, `render_svg(spec)`.
     """
     edges = build_scene(spec).edges  # first, so a bad spec pays for no layout
     head, points = circle_layout()

@@ -148,11 +148,10 @@ def test_criterion_10_render_goldens(capsys):
         edges = build_scene(spec, step_limit=s + 1).edges
         labels = [PARENT_PERIOD_10[a] for a, _ in edges] + [PARENT_PERIOD_10[edges[-1][1]]]
         assert tuple(labels) == walk[: s + 2], s
-    ten = build_scene(SubsequenceSpec(k=9, r=13), step_limit=10)
-    assert len(ten.edges) == 10
-    document = render_svg(ten)
+    assert len(build_scene(SubsequenceSpec(k=9, r=13), step_limit=10).edges) == 10
+    document = render_svg(SubsequenceSpec(k=9, r=13), step_limit=10)
     assert document == (GOLDEN_DIR / "first-ten-9-13.svg").read_bytes()
-    assert document == render_svg(build_scene(SubsequenceSpec(k=9, r=13), step_limit=10))
+    assert document == render_svg(SubsequenceSpec(k=9, r=13), step_limit=10)
     with capsys.disabled():
         report(10, "12 byte-stable frames in panel order plus the ten-edge figure")
 

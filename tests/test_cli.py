@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pisano_lab.cli import _dumps, main
 from pisano_lab.core import pisano_period
-from pisano_lab.render import build_scene, render_frames, render_svg
+from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
 from mutants import MUTANTS
@@ -276,7 +276,9 @@ def test_diagram_single_file(capsys, tmp_path):
     code, out, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--out", str(target))
     assert code == 0
     assert f"wrote {target}" in out
-    assert target.read_bytes() == render_svg(build_scene(SubsequenceSpec(k=3, r=25)))
+    code, out, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--format", "json", "--out", str(target))
+    assert code == 0 and json.loads(out)["results"]["edge_count"] == 12
+    assert target.read_bytes() == render_svg(SubsequenceSpec(k=3, r=25))
 
 
 def test_diagram_frames(capsys, tmp_path):
@@ -288,6 +290,8 @@ def test_diagram_frames(capsys, tmp_path):
     assert [p.name for p in paths] == [f"steps-{i:02d}.svg" for i in range(12)]
     for path, frame in zip(paths, frames):
         assert path.read_bytes() == frame
+    code, out, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--format", "json", "--out", str(target))
+    assert code == 0 and json.loads(out)["results"]["frame_count"] == 12
 
 
 def test_diagram_steps_render_a_partial_walk(capsys, tmp_path):
@@ -296,6 +300,9 @@ def test_diagram_steps_render_a_partial_walk(capsys, tmp_path):
     assert code == 0
     document = target.read_text()
     assert document.count("<line ") == 10
+    argv = ("diagram", "--k", "9", "--r", "13", "--steps", "10", "--format", "json", "--out", str(target))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]["edge_count"] == 10
 
 
 def test_diagram_argument_errors(capsys, tmp_path):
@@ -315,9 +322,9 @@ def test_diagram_unwritable_path(capsys, tmp_path):
 
 
 def test_report_unwritable_path_prints_nothing(capsys, tmp_path):
-    # --out is opened before the first piece of the report is printed
-    target = tmp_path / "missing-dir" / "r.json"
-    code, out, err = run(capsys, "period", "8", "--format", "json", "--out", str(target))
-    assert code == 3
-    assert err.startswith("error: ")
-    assert out == ""
+    # --out is opened before the first piece of the report is printed; an empty path names no file
+    for target in (str(tmp_path / "missing-dir" / "r.json"), ""):
+        code, out, err = run(capsys, "period", "8", "--format", "json", "--out", target)
+        assert code == 3, target
+        assert err.startswith("error: ")
+        assert out == ""

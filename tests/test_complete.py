@@ -56,7 +56,7 @@ def test_index_log_examples(u, expected):
     assert pow(3, expected, 10) == u
 
 
-@pytest.mark.parametrize("bad", [0, 2, 5, 10, 13, -3])
+@pytest.mark.parametrize("bad", [0, 2, 5, 10, 13, -3, True, 1.0, 9.0])
 def test_index_log_rejects_non_units(bad):
     with pytest.raises(NotAUnitError):
         index_log(bad)

@@ -57,7 +57,7 @@ def test_edges_follow_the_walk():
 
 
 def test_full_scene_has_exactly_n_line_elements():
-    document = render_svg(build_scene(SubsequenceSpec(k=3, r=25)))
+    document = render_svg(SubsequenceSpec(k=3, r=25))
     assert len(edge_lines(document)) == 12
 
 
@@ -69,8 +69,8 @@ def test_frames_grow_one_edge_at_a_time(k, r, n):
     for s, frame in enumerate(frames):
         assert len(edge_lines(frame)) == s + 1
         # each frame is its step-limited render, after the same head
-        assert frame == render_svg(build_scene(spec, step_limit=s + 1)), s
-    assert frames[-1] == render_svg(build_scene(spec))
+        assert frame == render_svg(spec, step_limit=s + 1), s
+    assert frames[-1] == render_svg(spec)
 
 
 def test_frame_count_for_pentagon():
@@ -78,7 +78,7 @@ def test_frame_count_for_pentagon():
 
 
 def test_document_shape():
-    document = render_svg(build_scene(SubsequenceSpec(k=0, r=30))).decode("utf-8")
+    document = render_svg(SubsequenceSpec(k=0, r=30)).decode("utf-8")
     assert f'viewBox="0 0 {CANVAS} {CANVAS}"' in document
     assert document.count("<text ") == 60
     assert document.count("<circle ") == 1
