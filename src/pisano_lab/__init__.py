@@ -1,8 +1,8 @@
 """Fibonacci sequences modulo m: periods, subsequence diagrams, SVG output.
 
 The package exports what the CLI, the `verify` battery and the README
-examples use. Result types (`PisanoPeriod`, `SubsequencePeriod`,
-`StarPolygon`, `ShiftCertificate`, `UnitGroup`, `DiagramScene`, ...) are
+examples use. Periods and diagram edges come back as plain tuples; the
+other result types (`StarPolygon`, `ShiftCertificate`, `UnitGroup`) are
 imported from their own modules.
 """
 

@@ -156,8 +156,7 @@ def check_antipodal_sums() -> str | None:
 @_check("period-contents", "all m in [2, 50]")
 def check_period_contents() -> str | None:
     for m in range(2, 51):
-        period = pisano_period(m)
-        for j, value in enumerate(period.period):
+        for j, value in enumerate(pisano_period(m)):
             if value != fib_mod(j, m):
                 return f"period of m={m} disagrees with fib_mod at j={j}"
 
@@ -205,7 +204,7 @@ def check_polygon_parameters() -> str | None:
 @_check("reversed-jump-periods", "all 3540 (k, r) pairs")
 def check_reversed_jumps() -> str | None:
     for k in range(60):
-        periods = {r: subsequence_period(SubsequenceSpec(k=k, r=r)).terms for r in range(1, 60)}
+        periods = {r: subsequence_period(SubsequenceSpec(k=k, r=r)) for r in range(1, 60)}
         for r in range(1, 60):
             forward = periods[r]
             # term j of the reversed jump is term -j (mod n) of the forward one
@@ -301,7 +300,7 @@ def _recurrence_guarantee(residue: int, promised: QuasiClass) -> str | None:
         if r % 4 != residue or r % 3 == 0:
             continue
         for k in range(60):
-            observed = verify_quasi(subsequence_period(SubsequenceSpec(k=k, r=r)))
+            observed = verify_quasi(SubsequenceSpec(k=k, r=r))
             if observed not in (promised, QuasiClass.BOTH):
                 return f"(k={k}, r={r}): observed {observed.value}"
 
@@ -403,7 +402,7 @@ def check_inverse_anchor_positions() -> str | None:
 @_check("four-equally-spaced-zeros", "all 960 periods")
 def check_four_zeros() -> str | None:
     for k, r in _unit_cases():
-        terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+        terms = subsequence_period(SubsequenceSpec(k=k, r=r))
         zeros = [j for j, value in enumerate(terms) if value == 0]
         j0 = first_zero_index(k, r)
         if zeros != [j0, j0 + 15, j0 + 30, j0 + 45]:
@@ -422,7 +421,7 @@ def check_zero_subscripts() -> str | None:
 @_check("adjacent-zero-one", "all 960 periods")
 def check_adjacent_zero_one() -> str | None:
     for k, r in _unit_cases():
-        terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+        terms = subsequence_period(SubsequenceSpec(k=k, r=r))
         if not any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)):
             return f"(k={k}, r={r}): no adjacent 0, 1 pair"
 
@@ -430,7 +429,7 @@ def check_adjacent_zero_one() -> str | None:
 @_check("first-zero-minimality", "all 960 cases")
 def check_first_zero_minimality() -> str | None:
     for k, r in _unit_cases():
-        terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+        terms = subsequence_period(SubsequenceSpec(k=k, r=r))
         scanned = next((j for j, value in enumerate(terms) if value == 0), None)
         if scanned is None:
             return f"(k={k}, r={r}): the period has no zero"
@@ -472,8 +471,7 @@ def check_diagram_vertex_counts() -> str | None:
     for k in (0, 3, 9):
         for r in range(1, 60):
             spec = SubsequenceSpec(k=k, r=r)
-            scene = build_scene(spec)
-            vertices = {p for edge in scene.edges for p in edge}
+            vertices = {p for edge in build_scene(spec) for p in edge}
             if len(vertices) != star_polygon(spec).n:
                 return f"(k={k}, r={r}): {len(vertices)} distinct endpoints"
 
@@ -501,8 +499,7 @@ def check_diagram_labels() -> str | None:
 def check_rotation_equivalence() -> str | None:
     def edge_set(k: int, r: int) -> set[tuple[int, int]]:
         # an undirected edge as its (low, high) endpoint pair
-        edges = build_scene(SubsequenceSpec(k=k, r=r)).edges
-        return {(a, b) if a <= b else (b, a) for a, b in edges}
+        return {(a, b) if a <= b else (b, a) for a, b in build_scene(SubsequenceSpec(k=k, r=r))}
 
     # walk each orbit k, k + r, k + 2r, ... so that every scene is built once
     # and compared with the scene of the next start on its orbit; the first

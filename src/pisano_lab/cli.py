@@ -31,9 +31,7 @@ from .complete import ShiftCertificate, compute_shift
 from .core import pisano_period
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from .render import render_frames, render_svg
-from .subseq import (
-    CIRCLE_POINTS, StarPolygon, SubsequencePeriod, SubsequenceSpec, star_polygon, subsequence_period,
-)
+from .subseq import CIRCLE_POINTS, StarPolygon, SubsequenceSpec, star_polygon, subsequence_period
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -178,7 +176,7 @@ def cmd_period(args: argparse.Namespace) -> int:
         print("error: a modulus is required", file=sys.stderr)
         return EXIT_BAD_ARGUMENTS
     # only the list the report encodes outlives the scan, not the tuple beside it
-    period = list(pisano_period(m).period)
+    period = list(pisano_period(m))
     results = {"length": len(period), "period": period}
     report = {"command": "period", "inputs": {"m": m}, "results": results}
     _emit(report, lambda: _text_lines({"modulus": m, **results}), args.format, args.out)
@@ -193,25 +191,24 @@ def _certificate_dict(cert: ShiftCertificate) -> dict:
 
 def _classify(
     spec: SubsequenceSpec,
-) -> tuple[StarPolygon, SubsequencePeriod, QuasiClass, QuasiPrediction, ShiftCertificate | None]:
-    """The classification of one subsequence: its polygon, its period, its
-    observed and predicted recurrence class, and, for a jump coprime to 60
-    only, its shift certificate."""
-    period = subsequence_period(spec)
+) -> tuple[StarPolygon, QuasiClass, QuasiPrediction, ShiftCertificate | None]:
+    """The classification of one subsequence: its polygon, its observed and
+    predicted recurrence class, and, for a jump coprime to 60 only, its shift
+    certificate."""
     cert = compute_shift(spec.k, spec.r) if math.gcd(spec.r, CIRCLE_POINTS) == 1 else None
-    return star_polygon(spec), period, verify_quasi(period), predict_quasi(spec.r), cert
+    return star_polygon(spec), verify_quasi(spec), predict_quasi(spec.r), cert
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = SubsequenceSpec(k=args.k, r=args.r)
-    poly, period, observed, predicted, cert = _classify(spec)
+    poly, observed, predicted, cert = _classify(spec)
     inputs = {"k": spec.k, "r": spec.r}
     results = {
         "n": poly.n,
         "q": poly.q,
         "type": poly.diagram_type.value,
         "convex": poly.convex,
-        "terms": list(period.terms),
+        "terms": list(subsequence_period(spec)),
         "quasi": observed.value,
         "prediction": predicted.value,
         "certificate": _certificate_dict(cert) if cert else None,
@@ -233,7 +230,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for k in range(CIRCLE_POINTS):
         for r in range(1, CIRCLE_POINTS):
-            poly, _, observed, predicted, cert = _classify(SubsequenceSpec(k=k, r=r))
+            poly, observed, predicted, cert = _classify(SubsequenceSpec(k=k, r=r))
             rows.append(
                 {
                     "k": k,
@@ -276,6 +273,9 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     results: dict
     if args.frames:
         frames = render_frames(spec)
+        if not args.out:
+            # Path('') is '.', which would put the frames in the working directory
+            raise FileNotFoundError("an empty --out path names no file")
         base = out.with_suffix("") if out.suffix == ".svg" else out
         files = []
         for index, document in enumerate(frames):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import _require_modulus
 from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, subsequence_period
@@ -31,15 +32,15 @@ class OracleFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """U(n): the least residues coprime to n, with a full inverse table."""
+    """U(n): the least residues coprime to n, with a read-only inverse table."""
 
     modulus: int
     elements: tuple[int, ...]
     order: int
-    inverse: dict[int, int]
+    inverse: MappingProxyType[int, int]
 
 
-# Largest modulus unit_group accepts. The result holds a tuple and a dict with
+# Largest modulus unit_group accepts. The result holds a tuple and a mapping with
 # up to n - 1 entries each, so an unbounded n could exhaust memory; the
 # library itself needs only U(10) and U(60).
 UNIT_GROUP_MAX_MODULUS = 10_000
@@ -55,7 +56,7 @@ def unit_group(n: int) -> UnitGroup:
     if n > UNIT_GROUP_MAX_MODULUS:
         raise ValueError(f"unit_group builds U(n) only for n <= {UNIT_GROUP_MAX_MODULUS}, got {n}")
     elements = tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
-    inverse = {u: pow(u, -1, n) for u in elements}
+    inverse = MappingProxyType({u: pow(u, -1, n) for u in elements})
     return UnitGroup(modulus=n, elements=elements, order=len(elements), inverse=inverse)
 
 
@@ -168,7 +169,7 @@ def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
     """
     _require_unit(r)
     parent = parent_period()
-    terms = subsequence_period(SubsequenceSpec(k=k, r=r)).terms
+    terms = subsequence_period(SubsequenceSpec(k=k, r=r))
     first = terms[0]
     forward = parent + parent
     # reverse[start + j] is parent[(shift - j) % 60] for start = 59 - shift

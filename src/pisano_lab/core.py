@@ -6,8 +6,6 @@ residues, so no intermediate ever grows beyond the modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class InvalidModulusError(ValueError):
     """Raised when a modulus is not an int of at least 2."""
@@ -62,29 +60,11 @@ def lucas_mod(n: int, m: int) -> int:
     return (fib_mod(n - 1, m) + fib_mod(n + 1, m)) % m
 
 
-@dataclass(frozen=True)
-class PisanoPeriod:
-    """One full period of the Fibonacci sequence modulo `modulus`.
+def pisano_period(m: int) -> tuple[int, ...]:
+    """One full period of the Fibonacci sequence modulo m: F(0) .. F(len-1) mod m.
 
-    `period[j]` is F(j) mod modulus for j = 0 .. length-1, and `length`
-    is minimal: no earlier index restarts the sequence with the pair 0, 1.
-    """
-
-    modulus: int
-    length: int
-    period: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.length != len(self.period):
-            raise ValueError("length does not match the stored period")
-        if self.period[:2] != (0, 1):
-            raise ValueError("a period must start with the pair 0, 1")
-
-
-def pisano_period(m: int) -> PisanoPeriod:
-    """Length and residues of the Fibonacci period modulo m.
-
-    Scans for the first recurrence of the adjacent pair (0, 1). The period
+    Scans for the first recurrence of the adjacent pair (0, 1), so the
+    length is minimal and the residues start with 0, 1. The period
     has at most 6m terms, with equality exactly when m = 2 * 5**k, k >= 1
     (Freyd and Brown 1992), so the cap below can only fire on an
     implementation bug, and then after at most 6m residues.
@@ -100,7 +80,7 @@ def pisano_period(m: int) -> PisanoPeriod:
             break
     else:
         raise RuntimeError("period scan exceeded the bound of 6m terms")
-    return PisanoPeriod(modulus=m, length=len(residues), period=tuple(residues))
+    return tuple(residues)
 
 
 def antipodal_sum(n: int) -> int:

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import enum
-import math
 
-from .subseq import CIRCLE_POINTS, SubsequencePeriod, SubsequenceSpec
-
-_DIGITS = frozenset(range(10))
+from .subseq import SubsequenceSpec, subsequence_period
 
 
 class QuasiClass(enum.Enum):
@@ -47,28 +44,15 @@ def predict_quasi(r: int) -> QuasiPrediction:
     return QuasiPrediction.NO_GUARANTEE
 
 
-def verify_quasi(period: SubsequencePeriod) -> QuasiClass:
-    """Check both cyclic recurrences over every position of the period.
+def verify_quasi(spec: SubsequenceSpec) -> QuasiClass:
+    """Check both cyclic recurrences over every position of the (k, r) period.
 
     The subsequence is periodic, so the cyclic check (indices mod n) is
     equivalent to quantifying over the infinite sequence. Constant-ish
     periods such as (0, 0) can satisfy both directions at once.
-    Anything that is not a SubsequencePeriod, or one whose terms are not
-    a tuple of n = 60/gcd(r, 60) ints in 0..9, raises ValueError.
+    Anything that is not a SubsequenceSpec raises ValueError.
     """
-    # a look-alike period never came from subsequence_period
-    if not isinstance(period, SubsequencePeriod):
-        raise ValueError(f"expected a SubsequencePeriod, got {period!r}")
-    spec, t = period.spec, period.terms
-    # nor did a hand-built one with other terms; exact types, so bool is refused too
-    if not (
-        isinstance(spec, SubsequenceSpec)
-        and type(t) is tuple
-        and len(t) == CIRCLE_POINTS // math.gcd(spec.r, CIRCLE_POINTS)
-        and set(map(type, t)) <= {int}
-        and _DIGITS.issuperset(t)
-    ):
-        raise ValueError(f"terms must be a tuple of 60/gcd(r, 60) ints in 0..9, got {period!r}")
+    t = subsequence_period(spec)
     n = len(t)
     forward = all((t[j - 1] + t[j]) % 10 == t[(j + 1) % n] for j in range(n))
     reverse = all((t[(j + 1) % n] + t[j]) % 10 == t[j - 1] for j in range(n))

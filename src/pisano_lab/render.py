@@ -9,7 +9,6 @@ labels, edges).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, star_polygon
 
@@ -60,15 +59,7 @@ def circle_layout() -> tuple[str, tuple[tuple[str, str], ...]]:
     return "".join(line + "\n" for line in head), tuple(points)
 
 
-@dataclass(frozen=True)
-class DiagramScene:
-    """The walk edges of one subsequence diagram, as build_scene enumerates them."""
-
-    spec: SubsequenceSpec
-    edges: tuple[tuple[int, int], ...]
-
-
-def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> DiagramScene:
+def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> tuple[tuple[int, int], ...]:
     """Enumerate the walk edges for (k, r); all n closing edges by default.
 
     Edge j connects circle indices (k + r*j) mod 60 and (k + r*(j+1))
@@ -88,7 +79,7 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> Diagram
     count = n if step_limit is None else step_limit
     k, r = spec.k, spec.r
     walk = _CIRCLE_INDICES[k : k + r * (count + 1) : r]
-    return DiagramScene(spec=spec, edges=tuple(zip(walk, walk[1:])))
+    return tuple(zip(walk, walk[1:]))
 
 
 def _edge_lines(edges: tuple[tuple[int, int], ...], points: tuple[tuple[str, str], ...]) -> list[str]:
@@ -102,7 +93,7 @@ def _document(head: str, lines: list[str]) -> bytes:
 def render_svg(spec: SubsequenceSpec, step_limit: int | None = None) -> bytes:
     """The standalone SVG 1.1 document of `build_scene(spec, step_limit)`,
     whose ValueError for bad input comes before any layout is formatted."""
-    edges = build_scene(spec, step_limit).edges
+    edges = build_scene(spec, step_limit)
     head, points = circle_layout()
     return _document(head, _edge_lines(edges, points))
 
@@ -114,7 +105,7 @@ def render_frames(spec: SubsequenceSpec) -> list[bytes]:
     `render_svg(spec, step_limit=s + 1)`, and the last frame is the
     complete closed diagram, `render_svg(spec)`.
     """
-    edges = build_scene(spec).edges  # first, so a bad spec pays for no layout
+    edges = build_scene(spec)  # first, so a bad spec pays for no layout
     head, points = circle_layout()
     lines = _edge_lines(edges, points)
     return [_document(head, lines[: s + 1]) for s in range(len(lines))]

@@ -22,7 +22,7 @@ CIRCLE_POINTS = 60  # period length of the Fibonacci sequence mod 10
 @lru_cache(maxsize=1)
 def parent_period() -> tuple[int, ...]:
     """The 60 parent residues F(0) .. F(59) mod 10, computed once."""
-    return pisano_period(10).period
+    return pisano_period(10)
 
 
 @lru_cache(maxsize=1)
@@ -91,36 +91,25 @@ def star_polygon(spec: SubsequenceSpec) -> StarPolygon:
     return StarPolygon(n=n, q=q, diagram_type=diagram_type, convex=q == 1)
 
 
-@dataclass(frozen=True)
-class SubsequencePeriod:
-    """One full period of the subsequence selected by `spec`.
+def subsequence_period(spec: SubsequenceSpec) -> tuple[int, ...]:
+    """Terms F(k + r*j) mod 10 for one full period, j = 0 .. n-1.
 
     Terms start at j = 0, i.e. at F(k) mod 10; they are never rotated to
     any canonical form, since shift computations are defined relative to
-    the first term.
-    """
-
-    spec: SubsequenceSpec
-    terms: tuple[int, ...]
-
-
-def subsequence_period(spec: SubsequenceSpec) -> SubsequencePeriod:
-    """Terms F(k + r*j) mod 10 for one full period, j = 0 .. n-1.
-
-    The terms are one C-level slice, from k in steps of r, of the parent
-    period repeated 60 times: index k + r*j of that table is F(k + r*j)
-    mod 10 without a reduction mod 60.
+    the first term. They are one C-level slice, from k in steps of r, of
+    the parent period repeated 60 times: index k + r*j of that table is
+    F(k + r*j) mod 10 without a reduction mod 60.
     """
     _require_spec(spec)
     k, r = spec.k, spec.r
     n = CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
-    return SubsequencePeriod(spec=spec, terms=_unrolled_parent()[k : k + r * n : r])
+    return _unrolled_parent()[k : k + r * n : r]
 
 
 def _fixed_jump_period(k: int, r: int) -> tuple[int, ...]:
     _require_index(k)
     # any int start lies on the circle after reduction mod 60
-    return subsequence_period(SubsequenceSpec(k=k % CIRCLE_POINTS, r=r)).terms
+    return subsequence_period(SubsequenceSpec(k=k % CIRCLE_POINTS, r=r))
 
 
 def square_tuple(k: int) -> tuple[int, ...]:

@@ -3,16 +3,18 @@
 Each bug is a plausible slip: a wrong value at one argument, a dropped or
 extra reduction, a flipped orientation, or a wrong table entry. Where the
 check loops, the bug sits at the last case it visits, so a loop that stops
-early lets it through. `MUTANTS` is the one list, in the order of
-`_checks.ALL_CHECKS`; `tests/test_checks.py::test_mutant_is_caught` runs
-each entry under the id `<check>-<attr>`.
+early lets it through; a `first-case` entry puts a second bug at the first
+case, so a loop that starts late lets that one through. `MUTANTS` is the
+one list, in the order of `_checks.ALL_CHECKS`;
+`tests/test_checks.py::test_mutant_is_caught` runs each entry under the id
+`<check>-<attr>`, followed by `-<tag>` when the entry has one.
 """
 
 import dataclasses
 import itertools
 from typing import Any, Callable, NamedTuple
 
-from pisano_lab import _checks, complete, render
+from pisano_lab import _checks, complete, quasi, render
 from pisano_lab.complete import ShiftDirection
 from pisano_lab.core import lucas_mod
 from pisano_lab.subseq import DiagramType, SubsequenceSpec
@@ -24,6 +26,7 @@ class Mutant(NamedTuple):
     bug: Callable[[Any], Any]  # builds the buggy replacement from the real value
     detail: str  # the counterexample the check must report
     module: Any = _checks
+    tag: str = ""  # tells apart two entries for the same check and attr
 
 
 def corrupt_at(key: tuple, corrupt: Callable[[Any], Any]) -> Callable[[Any], Any]:
@@ -50,9 +53,8 @@ def spec(k: int, r: int) -> tuple:
 def period_wrong_at(k: int, r: int, j: int) -> Callable[[Any], Any]:
     """Term j of the (k, r) period one too large."""
 
-    def corrupt(period):
-        terms = period.terms[:j] + ((period.terms[j] + 1) % 10,) + period.terms[j + 1 :]
-        return dataclasses.replace(period, terms=terms)
+    def corrupt(terms):
+        return terms[:j] + ((terms[j] + 1) % 10,) + terms[j + 1 :]
 
     return corrupt_at(spec(k, r), corrupt)
 
@@ -68,21 +70,19 @@ def unreduced_shift(real):
     return buggy
 
 
-def lucas_terms(period):
-    # reads the Lucas table in place of the Fibonacci one: no term is 0
-    k, r = period.spec.k, period.spec.r
-    terms = tuple(lucas_mod(k + r * j, 10) for j in range(len(period.terms)))
-    return dataclasses.replace(period, terms=terms)
+def lucas_period_at(k: int, r: int) -> Callable[[Any], Any]:
+    """The (k, r) period read from the Lucas table in place of the Fibonacci one: no term is 0."""
+    return corrupt_at(spec(k, r), lambda terms: tuple(lucas_mod(k + r * j, 10) for j in range(len(terms))))
 
 
-def moved_endpoint(scene):
+def moved_endpoint(edges):
     # dropping an edge of a closed polygon keeps every vertex, moving one does not
-    (a, b), edges = scene.edges[-1], scene.edges[:-1]
-    return dataclasses.replace(scene, edges=edges + ((a, (b + 1) % 60),))
+    (a, b), rest = edges[-1], edges[:-1]
+    return rest + ((a, (b + 1) % 60),)
 
 
-def dropped_edge(scene):
-    return dataclasses.replace(scene, edges=scene.edges[:-1])
+def dropped_edge(edges):
+    return edges[:-1]
 
 
 def frames_one_late(real):
@@ -105,8 +105,24 @@ MUTANTS = [
     Mutant(
         C.check_fib_recurrence, "fib_mod", fib_mod_wrong_at(200, 30), "recurrence breaks at n=198, m=30"
     ),
+    # F(-200) mod 2 is read only by the first case, n = -200 with m = 2
+    Mutant(
+        C.check_fib_recurrence,
+        "fib_mod",
+        fib_mod_wrong_at(-200, 2),
+        "recurrence breaks at n=-200, m=2",
+        tag="first-case",
+    ),
     Mutant(
         C.check_negative_reflection, "fib_mod", fib_mod_wrong_at(-200, 30), "reflection breaks at n=200, m=30"
+    ),
+    # n = 0 reads F(0) on both sides, so n = 1 with m = 2 is the first case a bug can show
+    Mutant(
+        C.check_negative_reflection,
+        "fib_mod",
+        fib_mod_wrong_at(-1, 2),
+        "reflection breaks at n=1, m=2",
+        tag="first-case",
     ),
     Mutant(C.check_parity_law, "fib_mod", fib_mod_wrong_at(1000, 2), "parity law breaks at n=1000"),
     Mutant(C.check_five_law, "fib_mod", fib_mod_wrong_at(1000, 5), "divisibility by 5 breaks at n=1000"),
@@ -129,7 +145,7 @@ MUTANTS = [
     Mutant(
         C.check_period_contents,
         "pisano_period",
-        corrupt_at((50,), lambda p: dataclasses.replace(p, period=p.period[:-1] + (p.period[-1] + 1,))),
+        corrupt_at((50,), lambda period: period[:-1] + (period[-1] + 1,)),
         "period of m=50 disagrees with fib_mod at j=299",
     ),
     # 60 - 59 divides 60, so a Type1 test made before the full-circle test misfiles r = 59
@@ -175,12 +191,14 @@ MUTANTS = [
         "subsequence_period",
         period_wrong_at(59, 53, 0),
         "(k=59, r=53): observed neither",
+        module=quasi,
     ),
     Mutant(
         C.check_reverse_guarantee,
         "subsequence_period",
         period_wrong_at(59, 59, 0),
         "(k=59, r=59): observed neither",
+        module=quasi,
     ),
     Mutant(C.check_forward_seed_identity, "fib_mod", fib_mod_wrong_at(198, 10), "identity breaks at r=197"),
     Mutant(C.check_reverse_seed_identity, "fib_mod", fib_mod_wrong_at(200, 10), "identity breaks at r=199"),
@@ -203,7 +221,7 @@ MUTANTS = [
     Mutant(
         C.check_alignment_agreement,
         "subsequence_period",
-        corrupt_at(spec(59, 59), lambda period: dataclasses.replace(period, terms=(0,) * 60)),
+        corrupt_at(spec(59, 59), lambda terms: (0,) * 60),
         "(k=59, r=59): oracle failed: expected exactly one alignment for (k=59, r=59), found 0",
         module=complete,
     ),
@@ -247,7 +265,7 @@ MUTANTS = [
     Mutant(
         C.check_first_zero_minimality,
         "subsequence_period",
-        corrupt_at(spec(59, 59), lucas_terms),
+        lucas_period_at(59, 59),
         "(k=59, r=59): the period has no zero",
     ),
     Mutant(

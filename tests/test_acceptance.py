@@ -59,8 +59,8 @@ def test_criterion_01_period_of_10(capsys):
     start = time.perf_counter()
     result = pisano_period(10)
     elapsed = time.perf_counter() - start
-    assert result.length == 60
-    assert result.period == PARENT_PERIOD_10
+    assert len(result) == 60
+    assert result == PARENT_PERIOD_10
     assert elapsed < 0.001
     assert main(["period", "10"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -74,8 +74,8 @@ def test_criterion_02_period_of_8(capsys):
     start = time.perf_counter()
     result = pisano_period(8)
     elapsed = time.perf_counter() - start
-    assert result.length == 12
-    assert result.period == PERIOD_MOD_8
+    assert len(result) == 12
+    assert result == PERIOD_MOD_8
     assert elapsed < 0.001
     assert main(["period", "8"]) == 0
     assert "length: 12" in capsys.readouterr().out
@@ -130,8 +130,8 @@ def test_criterion_08_fixed_jump_observations(capsys, verify_run):
 
 def test_criterion_09_lucas_coincidence(capsys):
     assert tuple(lucas_mod(n, 10) for n in range(12)) == LUCAS_PERIOD_10
-    assert subsequence_period(SubsequenceSpec(k=3, r=25)).terms == LUCAS_PERIOD_10
-    assert subsequence_period(SubsequenceSpec(k=3, r=5)).terms == LUCAS_PERIOD_10
+    assert subsequence_period(SubsequenceSpec(k=3, r=25)) == LUCAS_PERIOD_10
+    assert subsequence_period(SubsequenceSpec(k=3, r=5)) == LUCAS_PERIOD_10
     with capsys.disabled():
         report(9, "jumps 25 and 5 from start 3 both reproduce the Lucas period")
 
@@ -145,10 +145,10 @@ def test_criterion_10_render_goldens(capsys):
     for s, frame in enumerate(frames):
         golden = (GOLDEN_DIR / f"steps-3-25-{s:02d}.svg").read_bytes()
         assert frame == golden, s
-        edges = build_scene(spec, step_limit=s + 1).edges
+        edges = build_scene(spec, step_limit=s + 1)
         labels = [PARENT_PERIOD_10[a] for a, _ in edges] + [PARENT_PERIOD_10[edges[-1][1]]]
         assert tuple(labels) == walk[: s + 2], s
-    assert len(build_scene(SubsequenceSpec(k=9, r=13), step_limit=10).edges) == 10
+    assert len(build_scene(SubsequenceSpec(k=9, r=13), step_limit=10)) == 10
     document = render_svg(SubsequenceSpec(k=9, r=13), step_limit=10)
     assert document == (GOLDEN_DIR / "first-ten-9-13.svg").read_bytes()
     assert document == render_svg(SubsequenceSpec(k=9, r=13), step_limit=10)

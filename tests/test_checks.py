@@ -32,7 +32,9 @@ def test_every_check_has_a_mutant():
     assert {mutant.check for mutant in MUTANTS} == set(CHECKS)
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=[f"{m.check.__name__}-{m.attr}" for m in MUTANTS])
+@pytest.mark.parametrize(
+    "mutant", MUTANTS, ids=[f"{m.check.__name__}-{m.attr}" + (m.tag and f"-{m.tag}") for m in MUTANTS]
+)
 def test_mutant_is_caught(monkeypatch, mutant):
     monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
     result = mutant.check()

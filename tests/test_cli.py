@@ -196,6 +196,13 @@ def test_stdout_bytes_are_pinned(run_cli, argv, digest, size):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
 
 
+def test_verify_report_bytes_are_pinned(run_cli):
+    # the --out bytes of the session's one verify run, which equal `verify --format json` stdout
+    data = run_cli("verify").written
+    digest = "82bc6495acfa33c8ee07ed78085f554cfcc10f26abb8963b81ec30724411f31f"
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, 4257)
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -232,7 +239,7 @@ def _traced(call):
 
 
 def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
-    value = list(pisano_period(6250).period)  # 37,500 residues
+    value = list(pisano_period(6250))  # 37,500 residues
     encoded, peak = _traced(lambda: _dumps(value))
     assert encoded == json.dumps(value, indent=2)
     # the pieces held by the join and the joined output cost about 2x the output;
@@ -314,11 +321,16 @@ def test_diagram_argument_errors(capsys, tmp_path):
     assert code == 2 and "combined" in err
 
 
-def test_diagram_unwritable_path(capsys, tmp_path):
-    target = tmp_path / "missing-dir" / "x.svg"
-    code, _, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--out", str(target))
-    assert code == 3
-    assert "error" in err
+def test_diagram_unwritable_path(capsys, tmp_path, monkeypatch):
+    # an empty path names no file: Path('') is '.', which must not become `.-00.svg` frames
+    monkeypatch.chdir(tmp_path)
+    for target in (str(tmp_path / "missing-dir" / "x.svg"), ""):
+        for frames in ((), ("--frames",)):
+            code, out, err = run(capsys, "diagram", "--k", "3", "--r", "25", *frames, "--out", target)
+            assert code == 3, (target, frames)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_unwritable_path_prints_nothing(capsys, tmp_path):

@@ -14,7 +14,7 @@ from pisano_lab.complete import (
     unit_group,
 )
 from pisano_lab.core import InvalidModulusError
-from pisano_lab.subseq import SubsequencePeriod, SubsequenceSpec, parent_period, subsequence_period
+from pisano_lab.subseq import SubsequenceSpec, parent_period, subsequence_period
 
 from oracles import EXAMPLE_PERIOD_9_13
 
@@ -26,6 +26,9 @@ def test_unit_group_of_2():
     assert group.elements == (1,)
     assert group.order == 1
     assert group.inverse == {1: 1}
+    # a frozen result holds a read-only table
+    with pytest.raises(TypeError):
+        group.inverse[1] = 0
 
 
 def test_unit_group_inverse_properties():
@@ -109,7 +112,7 @@ def test_parent_alignment_examples():
 
 
 def test_worked_example_period_and_shift():
-    terms = subsequence_period(SubsequenceSpec(k=9, r=13)).terms
+    terms = subsequence_period(SubsequenceSpec(k=9, r=13))
     assert terms == EXAMPLE_PERIOD_9_13
     parent = parent_period()
     assert terms == parent[18:] + parent[:18]
@@ -150,9 +153,7 @@ def test_certificate_invariants_hold_everywhere():
 def test_oracle_failure_without_an_alignment(monkeypatch):
     # constant terms cannot match the parent period in either direction;
     # only the oracle's term source is patched, not the parent table
-    monkeypatch.setattr(
-        complete, "subsequence_period", lambda spec: SubsequencePeriod(spec=spec, terms=(0,) * 60)
-    )
+    monkeypatch.setattr(complete, "subsequence_period", lambda spec: (0,) * 60)
     with pytest.raises(OracleFailureError):
         brute_force_shift(0, 13)
 
@@ -161,9 +162,7 @@ def test_oracle_failure_on_several_alignments(monkeypatch):
     # a 30-periodic table puts two windows of the same terms in each direction
     table = parent_period()[:30] * 2
     monkeypatch.setattr(complete, "parent_period", lambda: table)
-    monkeypatch.setattr(
-        complete, "subsequence_period", lambda spec: SubsequencePeriod(spec=spec, terms=table)
-    )
+    monkeypatch.setattr(complete, "subsequence_period", lambda spec: table)
     with pytest.raises(OracleFailureError, match="found 2"):
         brute_force_shift(0, 13)
 

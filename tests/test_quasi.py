@@ -1,7 +1,7 @@
 import pytest
 
 from pisano_lab.quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
-from pisano_lab.subseq import SubsequencePeriod, SubsequenceSpec, subsequence_period
+from pisano_lab.subseq import SubsequenceSpec, subsequence_period
 
 
 @pytest.mark.parametrize(
@@ -36,27 +36,28 @@ def test_predict_quasi_range(bad):
     ],
 )
 def test_verify_quasi_examples(k, r, expected):
-    assert verify_quasi(subsequence_period(SubsequenceSpec(k=k, r=r))) is expected
+    assert verify_quasi(SubsequenceSpec(k=k, r=r)) is expected
 
 
 def test_verify_quasi_handles_short_periods():
     # cyclic check with wrapped indices still applies at n = 2
-    period = subsequence_period(SubsequenceSpec(k=1, r=30))  # terms (1, 9)
-    assert period.terms == (1, 9)
-    assert verify_quasi(period) is QuasiClass.NEITHER
+    spec = SubsequenceSpec(k=1, r=30)
+    assert subsequence_period(spec) == (1, 9)
+    assert verify_quasi(spec) is QuasiClass.NEITHER
 
 
 def test_zero_five_five_period_satisfies_both():
-    period = subsequence_period(SubsequenceSpec(k=0, r=5))
-    assert period.terms == (0, 5, 5) * 4
-    assert verify_quasi(period) is QuasiClass.BOTH
+    spec = SubsequenceSpec(k=0, r=5)
+    assert subsequence_period(spec) == (0, 5, 5) * 4
+    assert verify_quasi(spec) is QuasiClass.BOTH
 
 
 def test_verified_class_is_cyclic_shift_invariant():
-    # the recurrence classes depend on the cycle, not on where it starts
-    base = subsequence_period(SubsequenceSpec(k=3, r=25))
+    # the recurrence classes depend on the cycle, not on where it starts:
+    # starting s jumps later rotates the (3, 25) period by s terms
+    spec = SubsequenceSpec(k=3, r=25)
+    base, expected = subsequence_period(spec), verify_quasi(spec)
     for shift in range(1, 12):
-        rotated = SubsequencePeriod(
-            spec=base.spec, terms=base.terms[shift:] + base.terms[:shift]
-        )
-        assert verify_quasi(rotated) is verify_quasi(base)
+        rotated = SubsequenceSpec(k=(3 + 25 * shift) % 60, r=25)
+        assert subsequence_period(rotated) == base[shift:] + base[:shift]
+        assert verify_quasi(rotated) is expected

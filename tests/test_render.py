@@ -46,14 +46,14 @@ def test_edges_follow_the_walk():
     for k in range(60):
         for r in range(1, 60):
             spec = SubsequenceSpec(k=k, r=r)
-            edges = build_scene(spec).edges
+            edges = build_scene(spec)
             n = 60 // math.gcd(r, 60)
             walk = [(k + r * j) % 60 for j in range(n + 1)]
             assert edges == tuple(zip(walk, walk[1:])), spec
             if k == 59:
                 # the walks that reach furthest: every step limit keeps a prefix
                 for s in range(1, n + 1):
-                    assert build_scene(spec, step_limit=s).edges == edges[:s], (spec, s)
+                    assert build_scene(spec, step_limit=s) == edges[:s], (spec, s)
 
 
 def test_full_scene_has_exactly_n_line_elements():
