@@ -15,7 +15,7 @@ from .complete import (
     first_zero_index,
     unit_group,
 )
-from .core import InvalidModulusError, antipodal_sum, fib_mod, lucas_mod, pisano_period
+from .core import InvalidModulusError, antipodal_sum, fib_mod, lucas_mod, pisano_length, pisano_period
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from .render import build_scene, render_frames, render_svg
 from .subseq import (
@@ -52,6 +52,7 @@ __all__ = [
     "is_cyclic_shift",
     "lucas_mod",
     "pentagon_tuple",
+    "pisano_length",
     "pisano_period",
     "predict_quasi",
     "render_frames",

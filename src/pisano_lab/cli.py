@@ -10,6 +10,14 @@ from the report's fields, one `key: value` line each. Either output is
 written piece by piece, and an int list in either one is formatted by
 the same block formatter; --out is opened before anything is printed,
 so an unwritable path exits 3 with nothing on stdout.
+
+`period` reports `{"length": L, "period": [F(0) mod m, ..., F(L-1) mod m]}`
+as its results (text: `modulus:`, `length:` and `period:` lines). It takes
+L from Wall's theorem (core.pisano_length) before it scans, and streams the
+residues from the scan into the report, so no list or tuple as long as the
+period is held. Above MAX_LISTED_MODULUS (10**6) the results hold the
+length alone, `{"length": L}` (text: `modulus:` and `length:` lines); a
+modulus above core.MAX_MODULUS (10**12) exits 2.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Callable, Iterable, Iterator
 # imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
 from .complete import ShiftCertificate, compute_shift
-from .core import pisano_period
+from .core import _period_residues, pisano_length
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from .render import render_frames, render_svg
 from .subseq import CIRCLE_POINTS, StarPolygon, SubsequenceSpec, star_polygon, subsequence_period
@@ -54,9 +62,27 @@ _TEXT_SCALARS: dict[type, Callable[[object], str]] = {
     type(None): {None: "none"}.__getitem__,
 }
 
+# the largest modulus whose period residues `period` lists; below it the
+# longest period is that of 2 * 5**8: 4,687,500 residues, 65 MB of JSON, about
+# a second. Above it a report holds the length alone
+MAX_LISTED_MODULUS = 10**6
+
 # ints per `%` format of an int list: the template and the tuple for one
 # block stay near 40 KB and 32 KB, whatever the length of the list
 _INT_BLOCK = 4096
+
+
+class _Period:
+    """The residues of the Pisano period modulo m, for a report. Each
+    iteration starts a fresh scan, so a report walked twice (the text view,
+    then the JSON report for --out) holds no list or tuple as long as the
+    period."""
+
+    def __init__(self, m: int, length: int) -> None:
+        self.m, self.length = m, length
+
+    def __iter__(self) -> Iterator[int]:
+        return _period_residues(self.m, self.length)
 
 
 def _int_blocks(ints: Iterable[int], lead: str) -> Iterator[str]:
@@ -70,8 +96,8 @@ def _int_blocks(ints: Iterable[int], lead: str) -> Iterator[str]:
 
 def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(value, indent=2)`, in pieces, for dicts with
-    str keys, lists, str, int, bool and None; any other type raises TypeError
-    when the walk reaches it.
+    str keys, lists, str, int, bool and None, and a _Period as the list of its
+    residues; any other type raises TypeError when the walk reaches it.
 
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
     one generator call per value. Here only containers recurse: the scalars
@@ -83,17 +109,19 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
         yield encode(value)
         return
     kind = type(value)
+    inner = newline + "  "
+    # an exact type test: %d would print True as 1 and 1.5 as 1; a _Period
+    # holds only ints, at least three, so it is scanned once, as it is written
+    if kind is _Period or (kind is list and set(map(type, value)) == {int}):
+        ints = iter(value)
+        yield "[" + inner + "%d" % next(ints)
+        yield from _int_blocks(ints, "," + inner)
+        yield newline + "]"
+        return
     if kind is not dict and kind is not list:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         yield "{}" if kind is dict else "[]"
-        return
-    inner = newline + "  "
-    # an exact type test: %d would print True as 1 and 1.5 as 1
-    if kind is list and set(map(type, value)) == {int}:
-        yield "[" + inner + "%d" % value[0]
-        yield from _int_blocks(islice(value, 1, None), "," + inner)
-        yield newline + "]"
         return
     if kind is dict:
         # encode_basestring_ascii raises TypeError on a key that is not a str
@@ -125,15 +153,15 @@ def _dumps(value: object) -> str:
 def _text_lines(fields: dict, indent: str = "") -> Iterator[str]:
     """The text view of report fields: one newline-terminated `key: value`
     line per field, in order, in pieces. A dict becomes `key:` and an
-    indented block, an int list is space-separated through _int_blocks, a
-    bool reads true or false and None reads none.
+    indented block, an int list or a _Period is space-separated through
+    _int_blocks, a bool reads true or false and None reads none.
     """
     for key, value in fields.items():
         kind = type(value)
         if kind is dict:
             yield f"{indent}{key}:\n"
             yield from _text_lines(value, indent + "  ")
-        elif kind is list:
+        elif kind is list or kind is _Period:
             yield f"{indent}{key}:"
             yield from _int_blocks(value, " ")
             yield "\n"
@@ -150,8 +178,9 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
     text pieces go to stdout as they are made, and the JSON report is encoded
     once, piece by piece, each piece going to stdout (in JSON mode) and to
     out_path, both ending with a newline, so they get the same bytes. A
-    TypeError for a value no report should hold, a program bug, surfaces
-    after the pieces before it are written.
+    TypeError for a value no report should hold, or a RuntimeError for a
+    period scan that does not close, both program bugs, surfaces after the
+    pieces before it are written.
     """
     with open(out_path, "w", encoding="utf-8") if out_path is not None else nullcontext() as out:
         sinks = [out.write] if out else []
@@ -175,9 +204,12 @@ def cmd_period(args: argparse.Namespace) -> int:
     if m is None:
         print("error: a modulus is required", file=sys.stderr)
         return EXIT_BAD_ARGUMENTS
-    # only the list the report encodes outlives the scan, not the tuple beside it
-    period = list(pisano_period(m))
-    results = {"length": len(period), "period": period}
+    # the length comes first, from Wall's theorem, so the residues need not be
+    # stored: the report scans them afresh each time it is written
+    length = pisano_length(m)
+    results: dict = {"length": length}
+    if m <= MAX_LISTED_MODULUS:
+        results["period"] = _Period(m, length)
     report = {"command": "period", "inputs": {"m": m}, "results": results}
     _emit(report, lambda: _text_lines({"modulus": m, **results}), args.format, args.out)
     return EXIT_OK

@@ -6,6 +6,9 @@ residues, so no intermediate ever grows beyond the modulus.
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 
 class InvalidModulusError(ValueError):
     """Raised when a modulus is not an int of at least 2."""
@@ -60,27 +63,76 @@ def lucas_mod(n: int, m: int) -> int:
     return (fib_mod(n - 1, m) + fib_mod(n + 1, m)) % m
 
 
+# the largest modulus pisano_length accepts: it factors m and Wall's bound for
+# each prime power by trial division, about sqrt(m) = 10**6 steps at the cap
+MAX_MODULUS = 10**12
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """The prime factorisation of n >= 1 as {prime: exponent}, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def pisano_length(m: int) -> int:
+    """The length pi(m) of the Pisano period modulo m, without scanning it.
+
+    pi(m) is the lcm of pi(p**e) over the prime powers of m (Wall 1960).
+    For each, Wall's theorem bounds it by a multiple: pi(2) = 3, pi(5) = 20,
+    pi(p) divides p - 1 when p = +-1 (mod 5) and 2(p + 1) when p = +-2
+    (mod 5), and pi(p**e) divides p**(e-1) * pi(p). The bound is reduced to
+    the true order by dividing out each of its prime factors while
+    (F(d), F(d+1)) stays (0, 1) mod p**e. Refuses a modulus above
+    MAX_MODULUS with ValueError, as trial division would run too long.
+    """
+    _require_modulus(m)
+    if m > MAX_MODULUS:
+        raise ValueError(f"modulus must be at most {MAX_MODULUS} for a period length, got {m}")
+    length = 1
+    for p, e in _prime_factors(m).items():
+        power = p**e
+        base = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+        order = p ** (e - 1) * base
+        for q in {p, *_prime_factors(base)}:
+            while order % q == 0 and _fib_pair(order // q, power) == (0, 1):
+                order //= q
+        length = math.lcm(length, order)
+    return length
+
+
+def _period_residues(m: int, length: int) -> Iterator[int]:
+    """F(0) .. F(length-1) mod m, one at a time, for length = pisano_length(m).
+
+    After the last residue the scan checks that the sequence closes, that is
+    that the next pair is (0, 1) again, and raises RuntimeError otherwise:
+    a wrong length is a program bug, which a caller streaming the residues
+    sees after the ones before it were used.
+    """
+    a, b = 0, 1  # F(i), F(i+1)
+    for _ in range(length):
+        yield a
+        a, b = b, (a + b) % m
+    if a != 0 or b != 1:
+        raise RuntimeError(f"the period of m={m} does not close after {length} terms")
+
+
 def pisano_period(m: int) -> tuple[int, ...]:
     """One full period of the Fibonacci sequence modulo m: F(0) .. F(len-1) mod m.
 
-    Scans for the first recurrence of the adjacent pair (0, 1), so the
-    length is minimal and the residues start with 0, 1. The period
-    has at most 6m terms, with equality exactly when m = 2 * 5**k, k >= 1
-    (Freyd and Brown 1992), so the cap below can only fire on an
-    implementation bug, and then after at most 6m residues.
+    The length is pisano_length(m), the first return of the adjacent pair
+    (0, 1), so the period is minimal and starts with 0, 1; it has at most
+    6m terms (Freyd and Brown 1992). A modulus above MAX_MODULUS is
+    refused with ValueError.
     """
-    _require_modulus(m)
-    residues = []
-    append = residues.append
-    a, b = 0, 1  # F(i), F(i+1)
-    for _ in range(6 * m):
-        append(a)
-        a, b = b, (a + b) % m
-        if a == 0 and b == 1:
-            break
-    else:
-        raise RuntimeError("period scan exceeded the bound of 6m terms")
-    return tuple(residues)
+    return tuple(_period_residues(m, pisano_length(m)))
 
 
 def antipodal_sum(n: int) -> int:

@@ -87,6 +87,23 @@ def slow_pisano_length(m: int) -> int:
         r += 1
 
 
+def first_return_period(m: int) -> tuple[int, ...]:
+    """One period of the Fibonacci sequence mod m, F(0) .. F(len-1), scanned
+    pair by pair up to the first return of the pair (0, 1).
+
+    The period has at most 6m terms (Freyd and Brown 1992), so the scan
+    stops there with RuntimeError.
+    """
+    residues = []
+    a, b = 0, 1  # F(i), F(i+1)
+    for _ in range(6 * m):
+        residues.append(a)
+        a, b = b, (a + b) % m
+        if a == 0 and b == 1:
+            return tuple(residues)
+    raise RuntimeError("period scan exceeded the bound of 6m terms")
+
+
 def slow_cyclic_shift(a, b) -> bool:
     """True when b is a rotation of a, by comparing b with every window of a + a."""
     if len(a) != len(b):

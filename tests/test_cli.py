@@ -3,6 +3,8 @@ import enum
 import hashlib
 import json
 import os
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisano_lab.cli import _dumps, main
-from pisano_lab.core import pisano_period
+from pisano_lab.cli import MAX_LISTED_MODULUS, _dumps, main
+from pisano_lab.core import fib_mod, lucas_mod, pisano_length, pisano_period
 from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
@@ -59,6 +61,47 @@ def test_period_rejects_small_modulus(capsys):
     code, _, err = run(capsys, "period", "1")
     assert code == 2
     assert "modulus" in err
+
+
+def test_period_refuses_a_modulus_above_the_length_cap_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "period", str(2**61 - 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_period_lists_residues_up_to_the_cap_and_the_length_alone_above(capsys, tmp_path):
+    target = tmp_path / "cap.json"
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(["period", "--m", str(MAX_LISTED_MODULUS), "--format", "json", "--out", str(target)]) == 0
+    with target.open(encoding="utf-8") as report:
+        assert '"length": 1500000,\n    "period": [\n      0,\n      1,\n' in report.read(200)
+    m = MAX_LISTED_MODULUS + 1
+    code, out, _ = run(capsys, "period", str(m), "--format", "json")
+    report = {"command": "period", "inputs": {"m": m}, "results": {"length": pisano_length(m)}}
+    assert code == 0 and out == json.dumps(report, indent=2) + "\n"
+    code, out, _ = run(capsys, "period", str(m))
+    assert code == 0 and out == f"modulus: {m}\nlength: {pisano_length(m)}\n"
+
+
+def test_period_makes_no_fib_mod_call(capsys, monkeypatch):
+    # the period-moduli benchmark predicts, and its traced run requires, zero fib_mod calls
+    calls = []
+
+    def counted(n, m):
+        calls.append((n, m))
+        return fib_mod(n, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pisano_lab") and getattr(module, "fib_mod", None) is fib_mod:
+            monkeypatch.setattr(module, "fib_mod", counted)
+    for m in (2, 10, 6250, MAX_LISTED_MODULUS + 1):
+        for fmt in ("text", "json"):
+            assert run(capsys, "period", str(m), "--format", fmt)[0] == 0
+    assert calls == []
+    lucas_mod(7, 10)  # two fib_mod calls, counted: the patch is live
+    assert len(calls) == 2
 
 
 def test_classify_worked_example(capsys):
@@ -249,12 +292,13 @@ def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_period_report_costs_little_beyond_the_scan(fmt):
-    # either output is streamed in pieces: no string, tuple or format string as long as the period
+    # the length comes first and the residues stream from the scan into either
+    # output: no list, tuple, string or format string as long as the period.
+    # 2 * 5**6 has 187,500 residues, whose list and tuple alone took 9 MB
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-        _, scan_peak = _traced(lambda: pisano_period(6250))
-        code, report_peak = _traced(lambda: main(["period", "--m", "6250", "--format", fmt]))
+        code, peak = _traced(lambda: main(["period", "--m", "31250", "--format", fmt]))
     assert code == 0
-    assert report_peak < 1.2 * scan_peak
+    assert peak < 2**20
 
 
 class _Colour(enum.Enum):

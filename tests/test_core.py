@@ -1,10 +1,21 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pisano_lab.core import InvalidModulusError, antipodal_sum, fib_mod, lucas_mod, pisano_period
+from pisano_lab import core
+from pisano_lab.core import (
+    MAX_MODULUS,
+    InvalidModulusError,
+    antipodal_sum,
+    fib_mod,
+    lucas_mod,
+    pisano_length,
+    pisano_period,
+)
 
-from oracles import slow_fib, slow_pisano_length
+from oracles import first_return_period, slow_fib, slow_pisano_length
 
 
 @pytest.mark.parametrize(
@@ -47,6 +58,8 @@ def test_invalid_modulus_rejected(bad):
         lucas_mod(3, bad)
     with pytest.raises(InvalidModulusError):
         pisano_period(bad)
+    with pytest.raises(InvalidModulusError):
+        pisano_length(bad)
 
 
 @pytest.mark.parametrize("bad", [5.0, True, "5"])
@@ -73,14 +86,46 @@ def test_pisano_period_of_2():
 
 
 def test_pisano_lengths_match_slow_scan():
-    for m in range(2, 21):
-        assert len(pisano_period(m)) == slow_pisano_length(m), m
+    for m in range(2, 61):
+        assert pisano_length(m) == slow_pisano_length(m), m
+        assert pisano_period(m) == first_return_period(m), m
+
+
+def test_pisano_length_matches_first_return_scan_up_to_3000():
+    for m in range(2, 3001):
+        assert pisano_length(m) == len(first_return_period(m)), m
+
+
+# Wall's bound at its extremes (2 * 5**k reaches 6m), high prime powers and a
+# product of four of them
+@pytest.mark.parametrize(
+    "m", [2 * 5**k for k in range(1, 7)] + [62_500, 93_750, 3**7, 7**5, 11**4, 2**20, 2**3 * 3 * 7**2 * 13]
+)
+def test_pisano_length_matches_first_return_scan(m):
+    assert pisano_length(m) == len(first_return_period(m))
 
 
 def test_pisano_period_reaches_six_m_at_twice_a_power_of_five():
-    # pi(m) <= 6m, with equality exactly at m = 2 * 5**k: a scan cap one term short fails here
+    # pi(m) <= 6m, with equality exactly at m = 2 * 5**k
     for k in range(1, 6):
         assert len(pisano_period(2 * 5**k)) == 12 * 5**k, k
+
+
+@pytest.mark.parametrize("wrong", [59, 61])
+def test_period_scan_refuses_a_length_that_does_not_close(monkeypatch, wrong):
+    monkeypatch.setattr(core, "pisano_length", lambda m: wrong)
+    with pytest.raises(RuntimeError, match="does not close"):
+        pisano_period(10)
+
+
+def test_pisano_length_refuses_a_modulus_above_the_cap_at_once():
+    assert pisano_length(MAX_MODULUS) == 1_500_000_000_000
+    start = time.perf_counter()
+    for call in (pisano_length, pisano_period):
+        # trial division of the prime 2**61 - 1 would take minutes
+        with pytest.raises(ValueError, match="at most"):
+            call(2**61 - 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_pisano_period_is_minimal():

@@ -11,7 +11,7 @@ PUBLIC = """
     CIRCLE_POINTS DiagramType InvalidModulusError NotAUnitError OracleFailureError QuasiClass
     QuasiPrediction ShiftDirection SubsequenceSpec antipodal_sum brute_force_shift build_scene
     compute_shift dodecagon_tuple fib_mod first_zero_index is_cyclic_shift lucas_mod pentagon_tuple
-    pisano_period predict_quasi render_frames render_svg square_tuple star_polygon
+    pisano_length pisano_period predict_quasi render_frames render_svg square_tuple star_polygon
     subsequence_period unit_group verify_quasi
 """.split()
 
