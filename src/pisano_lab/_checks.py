@@ -80,10 +80,10 @@ def _check(name: str, covered: str) -> Callable[[Callable[[], str | None]], Call
     return register
 
 
-def _unit_cases() -> Iterator[tuple[int, int]]:
-    """Every (k, r) with r coprime to 60, k-major."""
+def _unit_cases() -> Iterator[SubsequenceSpec]:
+    """The spec of every (k, r) with r coprime to 60, k-major."""
     units = unit_group(60).elements
-    return ((k, r) for k in range(60) for r in units)
+    return (SubsequenceSpec(k=k, r=r) for k in range(60) for r in units)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +347,15 @@ def check_negative_index_parity() -> str | None:
 
 @_check("alignment-oracle-agreement", "all 960 (k, r) cases")
 def check_alignment_agreement() -> str | None:
-    for k, r in _unit_cases():
-        cert = compute_shift(k, r)
+    for spec in _unit_cases():
+        cert = compute_shift(spec)
         try:
-            direction, shift = brute_force_shift(k, r)
+            direction, shift = brute_force_shift(spec)
         except OracleFailureError as exc:
-            return f"(k={k}, r={r}): oracle failed: {exc}"
+            return f"(k={spec.k}, r={spec.r}): oracle failed: {exc}"
         if (cert.direction, cert.shift) != (direction, shift):
             return (
-                f"(k={k}, r={r}): computed {cert.direction.value}:{cert.shift}, "
+                f"(k={spec.k}, r={spec.r}): computed {cert.direction.value}:{cert.shift}, "
                 f"oracle found {direction.value}:{shift}"
             )
 
@@ -401,41 +401,41 @@ def check_inverse_anchor_positions() -> str | None:
 
 @_check("four-equally-spaced-zeros", "all 960 periods")
 def check_four_zeros() -> str | None:
-    for k, r in _unit_cases():
-        terms = subsequence_period(SubsequenceSpec(k=k, r=r))
+    for spec in _unit_cases():
+        terms = subsequence_period(spec)
         zeros = [j for j, value in enumerate(terms) if value == 0]
-        j0 = first_zero_index(k, r)
+        j0 = first_zero_index(spec)
         if zeros != [j0, j0 + 15, j0 + 30, j0 + 45]:
-            return f"(k={k}, r={r}): zeros at {zeros}"
+            return f"(k={spec.k}, r={spec.r}): zeros at {zeros}"
 
 
 @_check("zero-subscript-classes", "all 960 periods")
 def check_zero_subscripts() -> str | None:
-    for k, r in _unit_cases():
-        j0 = first_zero_index(k, r)
-        subscripts = {(k + r * (j0 + 15 * i)) % 60 for i in range(4)}
+    for spec in _unit_cases():
+        j0 = first_zero_index(spec)
+        subscripts = {(spec.k + spec.r * (j0 + 15 * i)) % 60 for i in range(4)}
         if subscripts != {0, 15, 30, 45}:
-            return f"(k={k}, r={r}): subscripts {sorted(subscripts)}"
+            return f"(k={spec.k}, r={spec.r}): subscripts {sorted(subscripts)}"
 
 
 @_check("adjacent-zero-one", "all 960 periods")
 def check_adjacent_zero_one() -> str | None:
-    for k, r in _unit_cases():
-        terms = subsequence_period(SubsequenceSpec(k=k, r=r))
+    for spec in _unit_cases():
+        terms = subsequence_period(spec)
         if not any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)):
-            return f"(k={k}, r={r}): no adjacent 0, 1 pair"
+            return f"(k={spec.k}, r={spec.r}): no adjacent 0, 1 pair"
 
 
 @_check("first-zero-minimality", "all 960 cases")
 def check_first_zero_minimality() -> str | None:
-    for k, r in _unit_cases():
-        terms = subsequence_period(SubsequenceSpec(k=k, r=r))
+    for spec in _unit_cases():
+        terms = subsequence_period(spec)
         scanned = next((j for j, value in enumerate(terms) if value == 0), None)
         if scanned is None:
-            return f"(k={k}, r={r}): the period has no zero"
-        computed = first_zero_index(k, r)
+            return f"(k={spec.k}, r={spec.r}): the period has no zero"
+        computed = first_zero_index(spec)
         if computed != scanned:
-            return f"(k={k}, r={r}): computed {computed}, scan found {scanned}"
+            return f"(k={spec.k}, r={spec.r}): computed {computed}, scan found {scanned}"
 
 
 _U60_INVERSES = {

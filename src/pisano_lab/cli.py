@@ -1,9 +1,13 @@
 """Command-line surface: pisano-lab <period|classify|sweep|verify|diagram>.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 I/O failure. Every command prints plain text by default and the same
-content as JSON with --format json; --out writes the JSON report to a
-file (for diagram, --out is the SVG target instead). A JSON report is
+3 I/O failure. The parser holds the argument rules (`period` takes its
+modulus once, positionally or via --m; `diagram` requires --out and takes
+--frames or --steps, not both) and exits 2 with its usage and error lines
+on stderr; a value the library refuses exits 2 with one `error:` line.
+Every command prints plain text by default and the same content as JSON
+with --format json; --out writes the JSON report to a file (for diagram,
+--out is the SVG target instead). A JSON report is
 `json.dumps(report, indent=2)` byte for byte, and --out writes those
 bytes plus a newline. The text of `period` and `classify` is rendered
 from the report's fields, one `key: value` line each. Either output is
@@ -15,7 +19,7 @@ so an unwritable path exits 3 with nothing on stdout.
 as its results (text: `modulus:`, `length:` and `period:` lines). It takes
 L from Wall's theorem (core.pisano_length) before it scans, and streams the
 residues from the scan into the report, so no list or tuple as long as the
-period is held. Above MAX_LISTED_MODULUS (10**6) the results hold the
+period is held. Above core.MAX_LISTED_MODULUS (10**6) the results hold the
 length alone, `{"length": L}` (text: `modulus:` and `length:` lines); a
 modulus above core.MAX_MODULUS (10**12) exits 2.
 """
@@ -23,8 +27,6 @@ modulus above core.MAX_MODULUS (10**12) exits 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Iterator
 # imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
 from .complete import ShiftCertificate, compute_shift
-from .core import _period_residues, pisano_length
+from .core import MAX_LISTED_MODULUS, _period_residues, pisano_length
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from .render import render_frames, render_svg
 from .subseq import CIRCLE_POINTS, StarPolygon, SubsequenceSpec, star_polygon, subsequence_period
@@ -61,11 +63,6 @@ _TEXT_SCALARS: dict[type, Callable[[object], str]] = {
     bool: _SCALAR_ENCODERS[bool],
     type(None): {None: "none"}.__getitem__,
 }
-
-# the largest modulus whose period residues `period` lists; below it the
-# longest period is that of 2 * 5**8: 4,687,500 residues, 65 MB of JSON, about
-# a second. Above it a report holds the length alone
-MAX_LISTED_MODULUS = 10**6
 
 # ints per `%` format of an int list: the template and the tuple for one
 # block stay near 40 KB and 32 KB, whatever the length of the list
@@ -197,13 +194,8 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    if args.m is not None and args.m_option is not None:
-        print("error: give the modulus once, either positionally or via --m", file=sys.stderr)
-        return EXIT_BAD_ARGUMENTS
-    m = args.m if args.m is not None else args.m_option
-    if m is None:
-        print("error: a modulus is required", file=sys.stderr)
-        return EXIT_BAD_ARGUMENTS
+    # the parser has taken exactly one of the two forms
+    m = args.m_option if args.m is None else args.m
     # the length comes first, from Wall's theorem, so the residues need not be
     # stored: the report scans them afresh each time it is written
     length = pisano_length(m)
@@ -215,20 +207,15 @@ def cmd_period(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _certificate_dict(cert: ShiftCertificate) -> dict:
-    # every field in declaration order but k and r, which the report gives as its inputs
-    fields = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.name not in ("k", "r")}
-    return {**fields, "direction": cert.direction.value}
-
-
 def _classify(
     spec: SubsequenceSpec,
 ) -> tuple[StarPolygon, QuasiClass, QuasiPrediction, ShiftCertificate | None]:
     """The classification of one subsequence: its polygon, its observed and
-    predicted recurrence class, and, for a jump coprime to 60 only, its shift
-    certificate."""
-    cert = compute_shift(spec.k, spec.r) if math.gcd(spec.r, CIRCLE_POINTS) == 1 else None
-    return star_polygon(spec), verify_quasi(spec), predict_quasi(spec.r), cert
+    predicted recurrence class, and, for a jump coprime to 60 only (the
+    diagrams that visit all 60 points), its shift certificate."""
+    poly = star_polygon(spec)
+    cert = compute_shift(spec) if poly.n == CIRCLE_POINTS else None
+    return poly, verify_quasi(spec), predict_quasi(spec), cert
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -243,7 +230,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "terms": list(subsequence_period(spec)),
         "quasi": observed.value,
         "prediction": predicted.value,
-        "certificate": _certificate_dict(cert) if cert else None,
+        # every field in declaration order, the direction by its value
+        "certificate": {**vars(cert), "direction": cert.direction.value} if cert else None,
     }
     report = {"command": "classify", "inputs": inputs, "results": results}
     _emit(report, lambda: _text_lines({**inputs, **results}), args.format, args.out)
@@ -297,9 +285,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    if args.frames and args.steps is not None:
-        print("error: --frames and --steps cannot be combined", file=sys.stderr)
-        return EXIT_BAD_ARGUMENTS
     spec = SubsequenceSpec(k=args.k, r=args.r)
     out = Path(args.out)
     results: dict
@@ -330,9 +315,13 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", metavar="PATH", default=None)
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_format(parser)
+    parser.add_argument("--out", metavar="PATH", default=None, help="also write the JSON report to PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     period = sub.add_parser("period", help="Pisano period of the Fibonacci sequence mod m")
-    period.add_argument("m", nargs="?", type=int, default=None, help="modulus, at least 2")
-    period.add_argument("--m", dest="m_option", type=int, default=None, help="modulus, at least 2")
+    modulus = period.add_mutually_exclusive_group(required=True)
+    modulus.add_argument("m", nargs="?", type=int, help="modulus, at least 2")
+    modulus.add_argument("--m", dest="m_option", metavar="M", type=int, help="modulus, at least 2")
     _add_common(period)
     period.set_defaults(handler=cmd_period)
 
@@ -365,9 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     diagram = sub.add_parser("diagram", help="write SVG diagrams")
     diagram.add_argument("--k", type=int, required=True, help="start index in [0, 59]")
     diagram.add_argument("--r", type=int, required=True, help="jump size in [1, 59]")
-    diagram.add_argument("--steps", type=int, default=None, help="render only the first edges")
-    diagram.add_argument("--frames", action="store_true", help="write one SVG per construction step")
-    _add_common(diagram)
+    walk = diagram.add_mutually_exclusive_group()
+    walk.add_argument("--steps", type=int, help="render only the first edges")
+    walk.add_argument("--frames", action="store_true", help="write one SVG per construction step")
+    diagram.add_argument(
+        "--out", metavar="PATH", required=True, help="the SVG file to write; with --frames, the base of the frame files"
+    )
+    _add_format(diagram)
     diagram.set_defaults(handler=cmd_diagram)
     return parser
 
@@ -378,9 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
-    if args.command == "diagram" and args.out is None:
-        print("error: diagram requires --out PATH", file=sys.stderr)
-        return EXIT_BAD_ARGUMENTS
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -4,7 +4,9 @@ Any jump size coprime to 60 walks through every point of the circle, and
 the resulting 60-term period is the parent sequence itself, run forward
 or in reverse from some starting index. This module computes that
 starting index (the shift) both by the closed-form procedure and by an
-independent brute-force search.
+independent brute-force search. Each (k, r) entry point takes a
+SubsequenceSpec, whose construction has checked k and r; a non-spec
+raises ValueError, and a jump not coprime to 60 raises NotAUnitError.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import _require_modulus
-from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, subsequence_period
+from .subseq import CIRCLE_POINTS, SubsequenceSpec, _require_spec, parent_period, subsequence_period
 
 
 class NotAUnitError(ValueError):
@@ -76,22 +78,21 @@ def index_log(u: int) -> int:
     return _LOG_BASE_3[u]
 
 
-def _require_unit(r: int) -> None:
-    # an exact type test, so a float or bool jump is not a unit either
-    if not (type(r) is int and 1 <= r < CIRCLE_POINTS and math.gcd(r, CIRCLE_POINTS) == 1):
-        raise NotAUnitError(f"jump size {r!r} is not an element of U(60)")
+def _require_unit(spec: SubsequenceSpec) -> None:
+    _require_spec(spec)
+    if math.gcd(spec.r, CIRCLE_POINTS) != 1:
+        raise NotAUnitError(f"jump size {spec.r!r} is not an element of U(60)")
 
 
-def first_zero_index(k: int, r: int) -> int:
+def first_zero_index(spec: SubsequenceSpec) -> int:
     """Least j >= 0 with F(k + r*j) mod 10 == 0; always lands in [0, 14].
 
     Zeros of the parent period sit exactly at indices divisible by 15, so
     j solves r*j = -k (mod 15). Equal spacing of the zeros makes that
     solution minimal.
     """
-    _require_unit(r)
-    SubsequenceSpec(k=k, r=r)  # refuses a k that is not an int in [0, 59]
-    return (pow(r, -1, 15) * -k) % 15
+    _require_unit(spec)
+    return (pow(spec.r, -1, 15) * -spec.k) % 15
 
 
 class ShiftDirection(enum.Enum):
@@ -112,8 +113,6 @@ class ShiftCertificate:
                      when forward, F(N - j) mod 10 when reverse
     """
 
-    k: int
-    r: int
     unit_digit: int
     log_index: int
     zero_vertex: int
@@ -123,7 +122,7 @@ class ShiftCertificate:
     shift: int
 
 
-def compute_shift(k: int, r: int) -> ShiftCertificate:
+def compute_shift(spec: SubsequenceSpec) -> ShiftCertificate:
     """Align the (k, r) subsequence with the parent period, in closed form.
 
     The jump direction follows r mod 4 (1 forward, 3 reverse). The walk
@@ -133,7 +132,8 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
     The forward case yields 60 - restart_index, stored reduced mod 60 so
     the shift stays in [0, 59].
     """
-    first_zero = first_zero_index(k, r)  # refuses a bad r, then a bad k
+    first_zero = first_zero_index(spec)  # refuses a non-spec or a non-unit jump
+    k, r = spec.k, spec.r
     forward = r % 4 == 1
     unit_digit = (r if forward else -r) % 10
     log_index = index_log(unit_digit)
@@ -141,8 +141,6 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
     restart_index = (pow(r, -1, CIRCLE_POINTS) * (zero_vertex - k)) % CIRCLE_POINTS
     shift = (CIRCLE_POINTS - restart_index) % CIRCLE_POINTS if forward else restart_index
     return ShiftCertificate(
-        k=k,
-        r=r,
         unit_digit=unit_digit,
         log_index=log_index,
         zero_vertex=zero_vertex,
@@ -153,7 +151,7 @@ def compute_shift(k: int, r: int) -> ShiftCertificate:
     )
 
 
-def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
+def brute_force_shift(spec: SubsequenceSpec) -> tuple[ShiftDirection, int]:
     """Find the alignment by trying all 120 (direction, shift) candidates.
 
     Independent oracle for compute_shift: takes the full 60-term period
@@ -167,9 +165,9 @@ def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
     period's first term; tuple equality demands that anyway, so the gate
     leaves the set of matches unchanged.
     """
-    _require_unit(r)
+    _require_unit(spec)
     parent = parent_period()
-    terms = subsequence_period(SubsequenceSpec(k=k, r=r))
+    terms = subsequence_period(spec)
     first = terms[0]
     forward = parent + parent
     # reverse[start + j] is parent[(shift - j) % 60] for start = 59 - shift
@@ -183,6 +181,6 @@ def brute_force_shift(k: int, r: int) -> tuple[ShiftDirection, int]:
             matches.append((ShiftDirection.REVERSE, shift))
     if len(matches) != 1:
         raise OracleFailureError(
-            f"expected exactly one alignment for (k={k}, r={r}), found {len(matches)}"
+            f"expected exactly one alignment for (k={spec.k}, r={spec.r}), found {len(matches)}"
         )
     return matches[0]

@@ -67,6 +67,10 @@ def lucas_mod(n: int, m: int) -> int:
 # each prime power by trial division, about sqrt(m) = 10**6 steps at the cap
 MAX_MODULUS = 10**12
 
+# the largest modulus whose period residues pisano_period returns and `period`
+# lists; below it the longest period is that of 2 * 5**8: 4,687,500 residues
+MAX_LISTED_MODULUS = 10**6
+
 
 def _prime_factors(n: int) -> dict[int, int]:
     """The prime factorisation of n >= 1 as {prime: exponent}, by trial division."""
@@ -111,11 +115,14 @@ def pisano_length(m: int) -> int:
 def _period_residues(m: int, length: int) -> Iterator[int]:
     """F(0) .. F(length-1) mod m, one at a time, for length = pisano_length(m).
 
-    After the last residue the scan checks that the sequence closes, that is
-    that the next pair is (0, 1) again, and raises RuntimeError otherwise:
-    a wrong length is a program bug, which a caller streaming the residues
-    sees after the ones before it were used.
+    Before the first residue the scan checks that the pair (0, 1) does not
+    come back after length / q terms for any prime q of the length, and after
+    the last one that it does come back: otherwise the length is not the
+    least period, a program bug, and the scan raises RuntimeError.
     """
+    for q in _prime_factors(length):
+        if _fib_pair(length // q, m) == (0, 1):
+            raise RuntimeError(f"the period of m={m} closes after {length // q} terms, before {length} terms")
     a, b = 0, 1  # F(i), F(i+1)
     for _ in range(length):
         yield a
@@ -129,9 +136,12 @@ def pisano_period(m: int) -> tuple[int, ...]:
 
     The length is pisano_length(m), the first return of the adjacent pair
     (0, 1), so the period is minimal and starts with 0, 1; it has at most
-    6m terms (Freyd and Brown 1992). A modulus above MAX_MODULUS is
-    refused with ValueError.
+    6m terms (Freyd and Brown 1992). A modulus above MAX_LISTED_MODULUS is
+    refused with ValueError, as its tuple could hold billions of residues.
     """
+    _require_modulus(m)
+    if m > MAX_LISTED_MODULUS:
+        raise ValueError(f"modulus must be at most {MAX_LISTED_MODULUS} for a listed period, got {m}")
     return tuple(_period_residues(m, pisano_length(m)))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .subseq import SubsequenceSpec, subsequence_period
+from .subseq import SubsequenceSpec, _require_spec, subsequence_period
 
 
 class QuasiClass(enum.Enum):
@@ -24,18 +24,17 @@ class QuasiPrediction(enum.Enum):
     NO_GUARANTEE = "no_guarantee"
 
 
-def predict_quasi(r: int) -> QuasiPrediction:
-    """Prediction from the jump size alone.
+def predict_quasi(spec: SubsequenceSpec) -> QuasiPrediction:
+    """Prediction from the jump size alone (k never matters).
 
     Jump sizes with r = 1 (mod 4) and 3 not dividing r always yield the
     forward recurrence; r = 3 (mod 4) with 3 not dividing r always yield
     the reverse one. Everything else carries no guarantee: the two
-    conditions are sufficient, not known to be necessary.
+    conditions are sufficient, not known to be necessary. Anything that
+    is not a SubsequenceSpec raises ValueError.
     """
-    if type(r) is not int:
-        raise ValueError(f"jump size r must be an int, got {r!r}")
-    if not 1 <= r <= 59:
-        raise ValueError(f"jump size r must be in [1, 59], got {r}")
+    _require_spec(spec)
+    r = spec.r
     if r % 3 != 0:
         if r % 4 == 1:
             return QuasiPrediction.FORWARD

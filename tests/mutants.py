@@ -61,8 +61,8 @@ def period_wrong_at(k: int, r: int, j: int) -> Callable[[Any], Any]:
 
 def unreduced_shift(real):
     # forgets the final mod-60 reduction of a forward shift
-    def buggy(k, r):
-        cert = real(k, r)
+    def buggy(*args):
+        cert = real(*args)
         if cert.direction is ShiftDirection.FORWARD:
             return dataclasses.replace(cert, shift=60 - cert.restart_index)
         return cert
@@ -214,7 +214,7 @@ MUTANTS = [
     Mutant(
         C.check_alignment_agreement,
         "brute_force_shift",
-        corrupt_at((59, 59), lambda found: (found[0], (found[1] + 1) % 60)),
+        corrupt_at(spec(59, 59), lambda found: (found[0], (found[1] + 1) % 60)),
         "(k=59, r=59): computed reverse:59, oracle found reverse:0",
     ),
     # a period with no (0, 1) pair leaves the oracle no alignment: the check must fail, not raise
@@ -251,7 +251,7 @@ MUTANTS = [
     Mutant(
         C.check_zero_subscripts,
         "first_zero_index",
-        corrupt_at((59, 59), lambda j0: j0 + 1),
+        corrupt_at(spec(59, 59), lambda j0: j0 + 1),
         "(k=59, r=59): subscripts [14, 29, 44, 59]",
     ),
     # the only 0, 1 pair of (59, 59) wraps around from its last term to its first

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisano_lab.cli import MAX_LISTED_MODULUS, _dumps, main
-from pisano_lab.core import fib_mod, lucas_mod, pisano_length, pisano_period
+from pisano_lab.cli import _dumps, main
+from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
 from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
@@ -51,10 +51,12 @@ def test_period_flag_form(capsys):
 
 
 def test_period_rejects_double_or_missing_modulus(capsys):
-    code, _, err = run(capsys, "period", "8", "--m", "8")
-    assert code == 2 and "once" in err
-    code, _, err = run(capsys, "period")
-    assert code == 2 and "required" in err
+    code, out, err = run(capsys, "period", "8", "--m", "8")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --m: not allowed with argument m\n"), err
+    code, out, err = run(capsys, "period")
+    assert code == 2 and out == ""
+    assert err.endswith("error: one of the arguments m --m is required\n"), err
 
 
 def test_period_rejects_small_modulus(capsys):
@@ -141,20 +143,35 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-def test_help_exits_0(capsys):
-    code, out, _ = run(capsys, "--help")
-    assert code == 0
-    assert out.startswith("usage: pisano-lab")
+# each documented exit code, with the start of what the run prints on stdout
+# ("" for nothing); "{tmp}" stands for a fresh directory, and
+# "verify-with-a-seeded-bug" runs `verify` with the first seeded bug of
+# tests/mutants.py patched in
+EXIT_CODES = {
+    "period": (["period", "10"], 0, "modulus: 10"),
+    "help": (["--help"], 0, "usage: pisano-lab"),
+    "verify-with-a-seeded-bug": (["verify"], 1, f"FAIL fib-recurrence: {MUTANTS[0].detail}"),
+    "modulus-twice": (["period", "8", "--m", "8"], 2, ""),
+    "modulus-missing": (["period"], 2, ""),
+    "diagram-without-out": (["diagram", "--k", "3", "--r", "25"], 2, ""),
+    "frames-with-steps": (["diagram", "--k", "3", "--r", "25", "--frames", "--steps", "2", "--out", "{tmp}/x"], 2, ""),
+    "k-out-of-range": (["classify", "--k", "60", "--r", "1"], 2, ""),
+    "modulus-1": (["period", "1"], 2, ""),
+    "unwritable-out": (["diagram", "--k", "3", "--r", "25", "--out", "{tmp}/missing-dir/x.svg"], 3, ""),
+}
 
 
-def test_failing_verify_exits_1(capsys, monkeypatch):
-    mutant = MUTANTS[0]
-    monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
-    code, out, _ = run(capsys, "verify")
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0].startswith("FAIL ") and lines[0].endswith(": " + mutant.detail)
-    assert lines[-1] == "verified: false"
+@pytest.mark.parametrize("argv, code, head", EXIT_CODES.values(), ids=EXIT_CODES)
+def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, head):
+    if code == 1:
+        mutant = MUTANTS[0]
+        monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
+    got, out, _ = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert got == code
+    assert out.startswith(head) and bool(out) == bool(head)
+    if code == 1:
+        assert out.endswith("\nverified: false\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_counts(run_cli):
@@ -360,9 +377,12 @@ def test_diagram_argument_errors(capsys, tmp_path):
     target = str(tmp_path / "x.svg")
     assert run(capsys, "diagram", "--k", "3", "--r", "25", "--steps", "0", "--out", target)[0] == 2
     assert run(capsys, "diagram", "--k", "3", "--r", "25", "--steps", "13", "--out", target)[0] == 2
-    assert run(capsys, "diagram", "--k", "3", "--r", "25")[0] == 2  # --out required
-    code, _, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--steps", "2", "--out", target)
-    assert code == 2 and "combined" in err
+    code, out, err = run(capsys, "diagram", "--k", "3", "--r", "25")
+    assert code == 2 and out == ""
+    assert err.endswith("error: the following arguments are required: --out\n"), err
+    code, out, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--steps", "2", "--out", target)
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --steps: not allowed with argument --frames\n"), err
 
 
 def test_diagram_unwritable_path(capsys, tmp_path, monkeypatch):

@@ -67,33 +67,20 @@ def test_index_log_rejects_non_units(bad):
 
 @pytest.mark.parametrize("k, r, expected", [(9, 13, 12), (3, 7, 6), (0, 7, 0), (0, 59, 0)])
 def test_first_zero_examples(k, r, expected):
-    assert first_zero_index(k, r) == expected
+    assert first_zero_index(SubsequenceSpec(k=k, r=r)) == expected
 
 
-@pytest.mark.parametrize("bad_r", [2, 6, 15, 60, 0, 1.0, True])
+# a jump outside [1, 59], or not an int, makes no SubsequenceSpec (test_spec_validation)
+@pytest.mark.parametrize("bad_r", [2, 6, 15])
 def test_non_units_rejected(bad_r):
-    with pytest.raises(NotAUnitError):
-        first_zero_index(0, bad_r)
-    with pytest.raises(NotAUnitError):
-        compute_shift(0, bad_r)
-    with pytest.raises(NotAUnitError):
-        brute_force_shift(0, bad_r)
-
-
-def test_start_index_range_checked():
-    with pytest.raises(ValueError):
-        compute_shift(60, 13)
-    with pytest.raises(ValueError):
-        first_zero_index(-1, 13)
-    for bad_k in (1.0, True):
-        with pytest.raises(ValueError):
-            compute_shift(bad_k, 7)
-        with pytest.raises(ValueError):
-            first_zero_index(bad_k, 7)
+    spec = SubsequenceSpec(k=0, r=bad_r)
+    for entry in (first_zero_index, compute_shift, brute_force_shift):
+        with pytest.raises(NotAUnitError, match=f"jump size {bad_r} is not an element of U"):
+            entry(spec)
 
 
 def test_worked_example_certificate():
-    cert = compute_shift(9, 13)
+    cert = compute_shift(SubsequenceSpec(k=9, r=13))
     assert cert.unit_digit == 3
     assert cert.log_index == 1
     assert cert.zero_vertex == 15
@@ -104,9 +91,9 @@ def test_worked_example_certificate():
 
 
 def test_parent_alignment_examples():
-    cert = compute_shift(15, 13)
+    cert = compute_shift(SubsequenceSpec(k=15, r=13))
     assert (cert.restart_index, cert.shift, cert.direction) == (0, 0, ShiftDirection.FORWARD)
-    cert = compute_shift(0, 1)
+    cert = compute_shift(SubsequenceSpec(k=0, r=1))
     assert (cert.unit_digit, cert.log_index, cert.zero_vertex) == (1, 0, 0)
     assert (cert.restart_index, cert.shift, cert.direction) == (0, 0, ShiftDirection.FORWARD)
 
@@ -128,13 +115,13 @@ def test_worked_example_period_and_shift():
     ],
 )
 def test_brute_force_examples(k, r, expected):
-    assert brute_force_shift(k, r) == expected
+    assert brute_force_shift(SubsequenceSpec(k=k, r=r)) == expected
 
 
 def test_certificate_invariants_hold_everywhere():
     for k in range(60):
         for r in UNITS_60:
-            cert = compute_shift(k, r)
+            cert = compute_shift(SubsequenceSpec(k=k, r=r))
             assert cert.unit_digit in (1, 3, 7, 9)
             expected_digit = r % 10 if r % 4 == 1 else (-r) % 10
             assert cert.unit_digit == expected_digit
@@ -155,7 +142,7 @@ def test_oracle_failure_without_an_alignment(monkeypatch):
     # only the oracle's term source is patched, not the parent table
     monkeypatch.setattr(complete, "subsequence_period", lambda spec: (0,) * 60)
     with pytest.raises(OracleFailureError):
-        brute_force_shift(0, 13)
+        brute_force_shift(SubsequenceSpec(k=0, r=13))
 
 
 def test_oracle_failure_on_several_alignments(monkeypatch):
@@ -164,7 +151,7 @@ def test_oracle_failure_on_several_alignments(monkeypatch):
     monkeypatch.setattr(complete, "parent_period", lambda: table)
     monkeypatch.setattr(complete, "subsequence_period", lambda spec: table)
     with pytest.raises(OracleFailureError, match="found 2"):
-        brute_force_shift(0, 13)
+        brute_force_shift(SubsequenceSpec(k=0, r=13))
 
 
 def test_units_60_fixture_is_really_u60():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pisano_lab import core
 from pisano_lab.core import (
+    MAX_LISTED_MODULUS,
     MAX_MODULUS,
     InvalidModulusError,
     antipodal_sum,
@@ -111,10 +112,11 @@ def test_pisano_period_reaches_six_m_at_twice_a_power_of_five():
         assert len(pisano_period(2 * 5**k)) == 12 * 5**k, k
 
 
-@pytest.mark.parametrize("wrong", [59, 61])
+# 59 and 61 do not close; 120 closes, but only after its multiple 60 did
+@pytest.mark.parametrize("wrong", [59, 61, 120])
 def test_period_scan_refuses_a_length_that_does_not_close(monkeypatch, wrong):
     monkeypatch.setattr(core, "pisano_length", lambda m: wrong)
-    with pytest.raises(RuntimeError, match="does not close"):
+    with pytest.raises(RuntimeError, match=f"the period of m=10 .*close.* {wrong} terms"):
         pisano_period(10)
 
 
@@ -125,6 +127,15 @@ def test_pisano_length_refuses_a_modulus_above_the_cap_at_once():
         # trial division of the prime 2**61 - 1 would take minutes
         with pytest.raises(ValueError, match="at most"):
             call(2**61 - 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_pisano_period_refuses_a_modulus_above_the_listing_cap_at_once():
+    assert len(pisano_period(MAX_LISTED_MODULUS)) == 1_500_000
+    start = time.perf_counter()
+    # a tuple of the 1.5 * 10**9 residues of 10**9 would exhaust memory
+    with pytest.raises(ValueError, match="at most"):
+        pisano_period(10**9)
     assert time.perf_counter() - start < 1
 
 

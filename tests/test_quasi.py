@@ -17,12 +17,15 @@ from pisano_lab.subseq import SubsequenceSpec, subsequence_period
     ],
 )
 def test_predict_quasi_examples(r, expected):
-    assert predict_quasi(r) is expected
+    # k never matters
+    for k in (0, 59):
+        assert predict_quasi(SubsequenceSpec(k=k, r=r)) is expected
 
 
 @pytest.mark.parametrize("bad", [0, 60, -7, 1.0, True])
 def test_predict_quasi_range(bad):
-    with pytest.raises(ValueError):
+    # a bare jump size is no spec, so one outside [1, 59] never reaches the prediction
+    with pytest.raises(ValueError, match="expected a SubsequenceSpec"):
         predict_quasi(bad)
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pisano_lab.complete import brute_force_shift, compute_shift, first_zero_index
 from pisano_lab.core import fib_mod
-from pisano_lab.quasi import verify_quasi
+from pisano_lab.quasi import predict_quasi, verify_quasi
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import (
     DiagramType,
@@ -37,7 +38,7 @@ def test_parent_period_matches_reference():
 
 
 @pytest.mark.parametrize(
-    "k, r", [(-1, 5), (60, 5), (0, 0), (0, 60), (12, -3), (1.5, 2), (True, 2), (0, 7.0)]
+    "k, r", [(-1, 5), (60, 5), (0, 0), (0, 60), (12, -3), (1.5, 2), (True, 2), (0, 7.0), (0, True)]
 )
 def test_spec_validation(k, r):
     with pytest.raises(ValueError):
@@ -45,7 +46,19 @@ def test_spec_validation(k, r):
 
 
 @pytest.mark.parametrize(
-    "entry", [subsequence_period, star_polygon, verify_quasi, build_scene, render_svg, render_frames]
+    "entry",
+    [
+        subsequence_period,
+        star_polygon,
+        verify_quasi,
+        predict_quasi,
+        compute_shift,
+        brute_force_shift,
+        first_zero_index,
+        build_scene,
+        render_svg,
+        render_frames,
+    ],
 )
 @pytest.mark.parametrize(
     "fake", [SimpleNamespace(k=3590, r=1), (3, 25)], ids=["out-of-range-namespace", "tuple"]
