@@ -1,9 +1,9 @@
 """Fibonacci sequences modulo m: periods, subsequence diagrams, SVG output.
 
 The package exports what the CLI, the `verify` battery and the README
-examples use. Periods and diagram edges come back as plain tuples; the
-other result types (`StarPolygon`, `ShiftCertificate`, `UnitGroup`) are
-imported from their own modules.
+examples use. Periods and diagram edges come back as plain tuples, and
+U(n) as its read-only inverse table; the other result types
+(`StarPolygon`, `ShiftCertificate`) are imported from their own modules.
 """
 
 from .complete import (

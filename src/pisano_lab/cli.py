@@ -1,10 +1,11 @@
 """Command-line surface: pisano-lab <period|classify|sweep|verify|diagram>.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 I/O failure. The parser holds the argument rules (`period` takes its
-modulus once, positionally or via --m; `diagram` requires --out and takes
---frames or --steps, not both) and exits 2 with its usage and error lines
-on stderr; a value the library refuses exits 2 with one `error:` line.
+3 I/O failure, 4 internal error (an exception no other code covers, a
+program bug, reported on one `error: internal error:` line). The parser
+holds the argument rules (`period` takes its modulus once, positionally or
+via --m; `diagram` requires --out and takes --frames or --steps, not both)
+and exits 2 with its usage and error lines on stderr; a value the library refuses exits 2 with one `error:` line.
 Every command prints plain text by default and the same content as JSON
 with --format json; --out writes the JSON report to a file (for diagram,
 --out is the SVG target instead). A JSON report is
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_BAD_ARGUMENTS = 2
 EXIT_IO_FAILURE = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 # Each scalar a report holds, mapped to a C-level function that encodes it as
@@ -142,11 +144,6 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     yield "".join(parts)
 
 
-def _dumps(value: object) -> str:
-    """The bytes of `json.dumps(value, indent=2)`, as one string; see _chunks."""
-    return "".join(_chunks(value))
-
-
 def _text_lines(fields: dict, indent: str = "") -> Iterator[str]:
     """The text view of report fields: one newline-terminated `key: value`
     line per field, in order, in pieces. A dict becomes `key:` and an
@@ -177,7 +174,7 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
     out_path, both ending with a newline, so they get the same bytes. A
     TypeError for a value no report should hold, or a RuntimeError for a
     period scan that does not close, both program bugs, surfaces after the
-    pieces before it are written.
+    pieces before it are written, and `main` exits 4.
     """
     with open(out_path, "w", encoding="utf-8") if out_path is not None else nullcontext() as out:
         sinks = [out.write] if out else []
@@ -384,6 +381,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
+    except Exception as exc:
+        # a program bug, not bad input: one line, and a code of its own
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

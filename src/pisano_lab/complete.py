@@ -7,6 +7,9 @@ starting index (the shift) both by the closed-form procedure and by an
 independent brute-force search. Each (k, r) entry point takes a
 SubsequenceSpec, whose construction has checked k and r; a non-spec
 raises ValueError, and a jump not coprime to 60 raises NotAUnitError.
+The unit group U(n) comes back as its read-only inverse table, keyed by
+the units in increasing order; the closed form reads the discrete log
+base 3 in U(10) from a four-entry table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import _require_modulus
-from .subseq import CIRCLE_POINTS, SubsequenceSpec, _require_spec, parent_period, subsequence_period
+from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, subsequence_period
 
 
 class NotAUnitError(ValueError):
@@ -32,50 +35,28 @@ class OracleFailureError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class UnitGroup:
-    """U(n): the least residues coprime to n, with a read-only inverse table."""
-
-    modulus: int
-    elements: tuple[int, ...]
-    order: int
-    inverse: MappingProxyType[int, int]
-
-
-# Largest modulus unit_group accepts. The result holds a tuple and a mapping with
-# up to n - 1 entries each, so an unbounded n could exhaust memory; the
-# library itself needs only U(10) and U(60).
+# Largest modulus unit_group accepts. The result is a mapping with up to n - 1
+# entries, so an unbounded n could exhaust memory; the library itself needs
+# only U(10) and U(60).
 UNIT_GROUP_MAX_MODULUS = 10_000
 
 
-def unit_group(n: int) -> UnitGroup:
-    """Elements, order, and inverse mapping of U(n), 2 <= n <= UNIT_GROUP_MAX_MODULUS.
+def unit_group(n: int) -> MappingProxyType[int, int]:
+    """U(n) as its read-only inverse table {u: u**-1 mod n}, 2 <= n <= UNIT_GROUP_MAX_MODULUS.
 
+    The keys are the least residues coprime to n, in increasing order, so
+    iterating the table walks U(n) and its length is the order of U(n).
     Inverses come from the extended gcd (via pow with exponent -1), not
     from any precomputed table.
     """
     _require_modulus(n)
     if n > UNIT_GROUP_MAX_MODULUS:
         raise ValueError(f"unit_group builds U(n) only for n <= {UNIT_GROUP_MAX_MODULUS}, got {n}")
-    elements = tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
-    inverse = MappingProxyType({u: pow(u, -1, n) for u in elements})
-    return UnitGroup(modulus=n, elements=elements, order=len(elements), inverse=inverse)
+    return MappingProxyType({u: pow(u, -1, n) for u in range(1, n) if math.gcd(u, n) == 1})
 
 
 # 3 generates U(10): its powers 3**i mod 10 for i = 0..3 are 1, 3, 9, 7.
 _LOG_BASE_3 = {1: 0, 3: 1, 9: 2, 7: 3}
-
-
-def index_log(u: int) -> int:
-    """Discrete log of u in U(10) relative to the primitive root 3.
-
-    Returns the unique i in {0, 1, 2, 3} with 3**i = u (mod 10), taking
-    the exponent 0 for u = 1.
-    """
-    # an exact type test: True and 9.0 hash and compare equal to the units 1 and 9
-    if type(u) is not int or u not in _LOG_BASE_3:
-        raise NotAUnitError(f"{u!r} is not an element of U(10)")
-    return _LOG_BASE_3[u]
 
 
 def _require_unit(spec: SubsequenceSpec) -> None:
@@ -136,7 +117,8 @@ def compute_shift(spec: SubsequenceSpec) -> ShiftCertificate:
     k, r = spec.k, spec.r
     forward = r % 4 == 1
     unit_digit = (r if forward else -r) % 10
-    log_index = index_log(unit_digit)
+    # r is coprime to 60, so its last digit, and that of -r, is a unit of U(10)
+    log_index = _LOG_BASE_3[unit_digit]
     zero_vertex = 15 * log_index
     restart_index = (pow(r, -1, CIRCLE_POINTS) * (zero_vertex - k)) % CIRCLE_POINTS
     shift = (CIRCLE_POINTS - restart_index) % CIRCLE_POINTS if forward else restart_index
@@ -166,12 +148,11 @@ def brute_force_shift(spec: SubsequenceSpec) -> tuple[ShiftDirection, int]:
     leaves the set of matches unchanged.
     """
     _require_unit(spec)
-    parent = parent_period()
     terms = subsequence_period(spec)
     first = terms[0]
-    forward = parent + parent
-    # reverse[start + j] is parent[(shift - j) % 60] for start = 59 - shift
-    reverse = parent[::-1] * 2
+    forward = PARENT_PERIOD * 2
+    # reverse[start + j] is PARENT_PERIOD[(shift - j) % 60] for start = 59 - shift
+    reverse = PARENT_PERIOD[::-1] * 2
     matches = []
     for shift in range(CIRCLE_POINTS):
         if forward[shift] == first and forward[shift : shift + CIRCLE_POINTS] == terms:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .subseq import CIRCLE_POINTS, SubsequenceSpec, parent_period, star_polygon
+from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, star_polygon
 
 CANVAS = 600
 CENTER = 300.0
@@ -53,7 +53,7 @@ def circle_layout() -> tuple[str, tuple[tuple[str, str], ...]]:
         *(
             f'  <text x="{x}" y="{y}" font-size="11" text-anchor="middle" '
             f'dominant-baseline="central">{label}</text>'
-            for (x, y), label in zip(label_spots, parent_period())
+            for (x, y), label in zip(label_spots, PARENT_PERIOD)
         ),
     ]
     return "".join(line + "\n" for line in head), tuple(points)

@@ -11,24 +11,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .core import _require_index, pisano_period
 
 CIRCLE_POINTS = 60  # period length of the Fibonacci sequence mod 10
 
+# the 60 parent residues F(0) .. F(59) mod 10
+PARENT_PERIOD = pisano_period(10)
 
-@lru_cache(maxsize=1)
-def parent_period() -> tuple[int, ...]:
-    """The 60 parent residues F(0) .. F(59) mod 10, computed once."""
-    return pisano_period(10)
-
-
-@lru_cache(maxsize=1)
-def _unrolled_parent() -> tuple[int, ...]:
-    # 60 copies reach index 59 + 59*59, the last term any (k, r) period reads
-    return parent_period() * CIRCLE_POINTS
+# 60 copies reach index 59 + 59*59, the last term any (k, r) period reads
+_UNROLLED_PARENT = PARENT_PERIOD * CIRCLE_POINTS
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ def subsequence_period(spec: SubsequenceSpec) -> tuple[int, ...]:
     _require_spec(spec)
     k, r = spec.k, spec.r
     n = CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
-    return _unrolled_parent()[k : k + r * n : r]
+    return _UNROLLED_PARENT[k : k + r * n : r]
 
 
 def _fixed_jump_period(k: int, r: int) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisano_lab.cli import _dumps, main
+from pisano_lab import cli
+from pisano_lab.cli import _chunks, main
 from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
 from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
@@ -57,12 +58,6 @@ def test_period_rejects_double_or_missing_modulus(capsys):
     code, out, err = run(capsys, "period")
     assert code == 2 and out == ""
     assert err.endswith("error: one of the arguments m --m is required\n"), err
-
-
-def test_period_rejects_small_modulus(capsys):
-    code, _, err = run(capsys, "period", "1")
-    assert code == 2
-    assert "modulus" in err
 
 
 def test_period_refuses_a_modulus_above_the_length_cap_at_once(capsys):
@@ -133,44 +128,50 @@ def test_classify_star_polygon_example(capsys):
     assert "certificate: none" in out
 
 
-def test_classify_rejects_out_of_range(capsys):
-    assert run(capsys, "classify", "--k", "0", "--r", "60")[0] == 2
-    assert run(capsys, "classify", "--k", "60", "--r", "1")[0] == 2
-    assert run(capsys, "classify", "--k", "0")[0] == 2  # argparse: missing --r
-
-
-def test_unknown_command(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
-
-
 # each documented exit code, with the start of what the run prints on stdout
-# ("" for nothing); "{tmp}" stands for a fresh directory, and
-# "verify-with-a-seeded-bug" runs `verify` with the first seeded bug of
-# tests/mutants.py patched in
+# ("" for nothing) and a piece of what it prints on stderr ("" for anything);
+# "{tmp}" stands for a fresh directory. "verify-with-a-seeded-bug" runs
+# `verify` with the first seeded bug of tests/mutants.py patched in, and
+# "period-length-that-does-not-close" runs `period` with a Wall length of 120
+# for m = 10, twice the true one, so the scan raises after the length line
 EXIT_CODES = {
-    "period": (["period", "10"], 0, "modulus: 10"),
-    "help": (["--help"], 0, "usage: pisano-lab"),
-    "verify-with-a-seeded-bug": (["verify"], 1, f"FAIL fib-recurrence: {MUTANTS[0].detail}"),
-    "modulus-twice": (["period", "8", "--m", "8"], 2, ""),
-    "modulus-missing": (["period"], 2, ""),
-    "diagram-without-out": (["diagram", "--k", "3", "--r", "25"], 2, ""),
-    "frames-with-steps": (["diagram", "--k", "3", "--r", "25", "--frames", "--steps", "2", "--out", "{tmp}/x"], 2, ""),
-    "k-out-of-range": (["classify", "--k", "60", "--r", "1"], 2, ""),
-    "modulus-1": (["period", "1"], 2, ""),
-    "unwritable-out": (["diagram", "--k", "3", "--r", "25", "--out", "{tmp}/missing-dir/x.svg"], 3, ""),
+    "period": (["period", "10"], 0, "modulus: 10", ""),
+    "help": (["--help"], 0, "usage: pisano-lab", ""),
+    "verify-with-a-seeded-bug": (["verify"], 1, f"FAIL fib-recurrence: {MUTANTS[0].detail}", ""),
+    "modulus-twice": (["period", "8", "--m", "8"], 2, "", "usage: pisano-lab"),
+    "modulus-missing": (["period"], 2, "", "usage: pisano-lab"),
+    "diagram-without-out": (["diagram", "--k", "3", "--r", "25"], 2, "", "usage: pisano-lab"),
+    "frames-with-steps": (
+        ["diagram", "--k", "3", "--r", "25", "--frames", "--steps", "2", "--out", "{tmp}/x"],
+        2,
+        "",
+        "usage: pisano-lab",
+    ),
+    "k-out-of-range": (["classify", "--k", "60", "--r", "1"], 2, "", "error: start index k"),
+    "r-out-of-range": (["classify", "--k", "0", "--r", "60"], 2, "", "error: jump size r"),
+    "r-missing": (["classify", "--k", "0"], 2, "", "the following arguments are required: --r"),
+    "unknown-command": (["frobnicate"], 2, "", "invalid choice: 'frobnicate'"),
+    "modulus-1": (["period", "1"], 2, "", "modulus"),
+    "unwritable-out": (["diagram", "--k", "3", "--r", "25", "--out", "{tmp}/missing-dir/x.svg"], 3, "", "error: "),
+    "period-length-that-does-not-close": (["period", "10"], 4, "modulus: 10\nlength: 120\n", "error: internal error: "),
 }
 
 
-@pytest.mark.parametrize("argv, code, head", EXIT_CODES.values(), ids=EXIT_CODES)
-def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, head):
+@pytest.mark.parametrize("argv, code, head, err_part", EXIT_CODES.values(), ids=EXIT_CODES)
+def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, head, err_part):
     if code == 1:
         mutant = MUTANTS[0]
         monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
-    got, out, _ = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    if code == 4:
+        monkeypatch.setattr(cli, "pisano_length", lambda m: 120)
+    got, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert got == code
     assert out.startswith(head) and bool(out) == bool(head)
+    assert err_part in err, err
     if code == 1:
         assert out.endswith("\nverified: false\n")
+    if code == 4:
+        assert err.startswith(err_part) and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -286,7 +287,7 @@ _JSON_VALUES = st.recursive(
 @example([1, True, 2])
 @example({'quo"te': 'back\\slash "quoted"', "ctl\x00\x1f\t\n": "é ü 中 \U0001f600 \ud800"})
 def test_dumps_matches_stdlib_indent_2(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert "".join(_chunks(value)) == json.dumps(value, indent=2)
 
 
 def _traced(call):
@@ -300,7 +301,7 @@ def _traced(call):
 
 def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
     value = list(pisano_period(6250))  # 37,500 residues
-    encoded, peak = _traced(lambda: _dumps(value))
+    encoded, peak = _traced(lambda: "".join(_chunks(value)))
     assert encoded == json.dumps(value, indent=2)
     # the pieces held by the join and the joined output cost about 2x the output;
     # a format string and a tuple as long as the list cost about 3x, a str per item about 9x
@@ -326,7 +327,7 @@ class _Colour(enum.Enum):
 def test_dumps_refuses_other_types(bad):
     for value in (bad, [0, bad], {"results": {"rows": [bad]}}):
         with pytest.raises(TypeError):
-            _dumps(value)
+            "".join(_chunks(value))
 
 
 def test_diagram_json_escapes_a_non_ascii_path(capsys, tmp_path):

@@ -11,11 +11,11 @@ from pisano_lab.core import fib_mod
 from pisano_lab.quasi import predict_quasi, verify_quasi
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import (
+    PARENT_PERIOD,
     DiagramType,
     SubsequenceSpec,
     dodecagon_tuple,
     is_cyclic_shift,
-    parent_period,
     pentagon_tuple,
     square_tuple,
     star_polygon,
@@ -34,7 +34,7 @@ ALL_SPECS = [SubsequenceSpec(k=k, r=r) for k in range(60) for r in range(1, 60)]
 
 
 def test_parent_period_matches_reference():
-    assert parent_period() == PARENT_PERIOD_10
+    assert PARENT_PERIOD == PARENT_PERIOD_10
 
 
 @pytest.mark.parametrize(
