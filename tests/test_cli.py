@@ -60,6 +60,12 @@ def test_period_rejects_double_or_missing_modulus(capsys):
     assert err.endswith("error: one of the arguments m --m is required\n"), err
 
 
+def test_period_rejects_small_modulus(capsys):
+    code, out, err = run(capsys, "period", "1")
+    assert code == 2 and out == ""
+    assert "modulus" in err
+
+
 def test_period_refuses_a_modulus_above_the_length_cap_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "period", str(2**61 - 1))
