@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .complete import OracleFailureError, brute_force_shift, compute_shift, first_zero_index, unit_group
 from .core import antipodal_sum, fib_mod, lucas_mod, pisano_period
@@ -38,6 +37,7 @@ from .subseq import (
     CIRCLE_POINTS,
     DiagramType,
     SubsequenceSpec,
+    _Record,
     dodecagon_tuple,
     is_cyclic_shift,
     pentagon_tuple,
@@ -47,11 +47,15 @@ from .subseq import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
+    """One check's verdict: its name, whether it passed, and its coverage or first counterexample."""
+
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = ()

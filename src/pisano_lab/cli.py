@@ -22,7 +22,14 @@ L from Wall's theorem (core.pisano_length) before it scans, and streams the
 residues from the scan into the report, so no list or tuple as long as the
 period is held. Above core.MAX_LISTED_MODULUS (10**6) the results hold the
 length alone, `{"length": L}` (text: `modulus:` and `length:` lines); a
-modulus above core.MAX_MODULUS (10**12) exits 2.
+modulus above core.MAX_MODULUS (10**12) exits 2. pisano_length certifies L
+before it returns, so a wrong length exits 4 with nothing on stdout.
+
+`sweep` reports `{"row_count": 3540, "rows": [...]}`, one row per (k, r),
+k-major (text: one `k=... r=...` line per row). Like the residues of
+`period`, the rows are made as they are written, so no list of them is
+held: JSON mode classifies each (k, r) once, and text mode with --out
+classifies it twice, once for each output.
 """
 
 from __future__ import annotations
@@ -71,17 +78,17 @@ _TEXT_SCALARS: dict[type, Callable[[object], str]] = {
 _INT_BLOCK = 4096
 
 
-class _Period:
-    """The residues of the Pisano period modulo m, for a report. Each
-    iteration starts a fresh scan, so a report walked twice (the text view,
-    then the JSON report for --out) holds no list or tuple as long as the
-    period."""
+class _Lazy:
+    """A list in a report whose items are made afresh by each iteration: the
+    residues of a period (`ints`) or the rows of a sweep. So a report walked
+    twice (the text view, then the JSON report for --out) makes its items
+    twice and holds no list of them."""
 
-    def __init__(self, m: int, length: int) -> None:
-        self.m, self.length = m, length
+    def __init__(self, items: Callable[[], Iterator], ints: bool = False) -> None:
+        self.items, self.ints = items, ints
 
-    def __iter__(self) -> Iterator[int]:
-        return _period_residues(self.m, self.length)
+    def __iter__(self) -> Iterator:
+        return self.items()
 
 
 def _int_blocks(ints: Iterable[int], lead: str) -> Iterator[str]:
@@ -95,8 +102,8 @@ def _int_blocks(ints: Iterable[int], lead: str) -> Iterator[str]:
 
 def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(value, indent=2)`, in pieces, for dicts with
-    str keys, lists, str, int, bool and None, and a _Period as the list of its
-    residues; any other type raises TypeError when the walk reaches it.
+    str keys, lists, str, int, bool and None, and a _Lazy as the list of its
+    items; any other type raises TypeError when the walk reaches it.
 
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
     one generator call per value. Here only containers recurse: the scalars
@@ -109,15 +116,15 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
         return
     kind = type(value)
     inner = newline + "  "
-    # an exact type test: %d would print True as 1 and 1.5 as 1; a _Period
-    # holds only ints, at least three, so it is scanned once, as it is written
-    if kind is _Period or (kind is list and set(map(type, value)) == {int}):
+    # an exact type test: %d would print True as 1 and 1.5 as 1; the residues
+    # of a period are ints, at least three, so they are made once, as written
+    if value.ints if kind is _Lazy else kind is list and set(map(type, value)) == {int}:
         ints = iter(value)
         yield "[" + inner + "%d" % next(ints)
         yield from _int_blocks(ints, "," + inner)
         yield newline + "]"
         return
-    if kind is not dict and kind is not list:
+    if kind is not dict and kind is not list and kind is not _Lazy:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         yield "{}" if kind is dict else "[]"
@@ -147,7 +154,7 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
 def _text_lines(fields: dict, indent: str = "") -> Iterator[str]:
     """The text view of report fields: one newline-terminated `key: value`
     line per field, in order, in pieces. A dict becomes `key:` and an
-    indented block, an int list or a _Period is space-separated through
+    indented block, an int list or a _Lazy of ints is space-separated through
     _int_blocks, a bool reads true or false and None reads none.
     """
     for key, value in fields.items():
@@ -155,7 +162,7 @@ def _text_lines(fields: dict, indent: str = "") -> Iterator[str]:
         if kind is dict:
             yield f"{indent}{key}:\n"
             yield from _text_lines(value, indent + "  ")
-        elif kind is list or kind is _Period:
+        elif kind is list or kind is _Lazy:
             yield f"{indent}{key}:"
             yield from _int_blocks(value, " ")
             yield "\n"
@@ -193,12 +200,13 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
 def cmd_period(args: argparse.Namespace) -> int:
     # the parser has taken exactly one of the two forms
     m = args.m_option if args.m is None else args.m
-    # the length comes first, from Wall's theorem, so the residues need not be
-    # stored: the report scans them afresh each time it is written
+    # the length comes first, from Wall's theorem and certified before anything
+    # is written, so the residues need not be stored: the report scans them
+    # afresh each time it is written
     length = pisano_length(m)
     results: dict = {"length": length}
     if m <= MAX_LISTED_MODULUS:
-        results["period"] = _Period(m, length)
+        results["period"] = _Lazy(lambda: _period_residues(m, length), ints=True)
     report = {"command": "period", "inputs": {"m": m}, "results": results}
     _emit(report, lambda: _text_lines({"modulus": m, **results}), args.format, args.out)
     return EXIT_OK
@@ -243,25 +251,30 @@ def _sweep_line(row: dict) -> str:
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = []
+def _sweep_rows() -> Iterator[dict]:
+    """One row per (k, r), k-major, classified as it is made."""
     for k in range(CIRCLE_POINTS):
         for r in range(1, CIRCLE_POINTS):
             poly, observed, predicted, cert = _classify(SubsequenceSpec(k=k, r=r))
-            rows.append(
-                {
-                    "k": k,
-                    "r": r,
-                    "n": poly.n,
-                    "q": poly.q,
-                    "type": poly.diagram_type.value,
-                    "quasi": observed.value,
-                    "prediction": predicted.value,
-                    "direction": cert.direction.value if cert else None,
-                    "shift": cert.shift if cert else None,
-                }
-            )
-    report = {"command": "sweep", "inputs": {}, "results": {"row_count": len(rows), "rows": rows}}
+            yield {
+                "k": k,
+                "r": r,
+                "n": poly.n,
+                "q": poly.q,
+                "type": poly.diagram_type.value,
+                "quasi": observed.value,
+                "prediction": predicted.value,
+                "direction": cert.direction.value if cert else None,
+                "shift": cert.shift if cert else None,
+            }
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    # the rows are classified as they are written, once per output, so no
+    # list of them is held
+    rows = _Lazy(_sweep_rows)
+    results = {"row_count": CIRCLE_POINTS * (CIRCLE_POINTS - 1), "rows": rows}
+    report = {"command": "sweep", "inputs": {}, "results": results}
     _emit(report, lambda: map(_sweep_line, rows), args.format, args.out)
     return EXIT_OK
 

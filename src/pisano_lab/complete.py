@@ -9,18 +9,19 @@ SubsequenceSpec, whose construction has checked k and r; a non-spec
 raises ValueError, and a jump not coprime to 60 raises NotAUnitError.
 The unit group U(n) comes back as its read-only inverse table, keyed by
 the units in increasing order; the closed form reads the discrete log
-base 3 in U(10) from a four-entry table.
+base 3 in U(10) from a four-entry table, and returns a ShiftCertificate,
+a frozen record on the `subseq._Record` base whose fields keep their
+declared order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import _require_modulus
-from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, subsequence_period
+from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _Record, _require_spec, subsequence_period
 
 
 class NotAUnitError(ValueError):
@@ -81,9 +82,10 @@ class ShiftDirection(enum.Enum):
     REVERSE = "reverse"
 
 
-@dataclass(frozen=True)
-class ShiftCertificate:
-    """Every intermediate of the alignment computation for one (k, r).
+class ShiftCertificate(_Record):
+    """Every intermediate of the alignment computation for one (k, r), as a
+    frozen record whose fields keep the order below, which the `classify`
+    report lists.
 
     unit_digit    -- U(10) element congruent to r (forward) or -r (reverse) mod 10
     log_index     -- discrete log of unit_digit relative to 3
@@ -101,6 +103,26 @@ class ShiftCertificate:
     first_zero: int
     direction: ShiftDirection
     shift: int
+
+    def __init__(
+        self,
+        unit_digit: int,
+        log_index: int,
+        zero_vertex: int,
+        restart_index: int,
+        first_zero: int,
+        direction: ShiftDirection,
+        shift: int,
+    ) -> None:
+        self.__dict__.update(
+            unit_digit=unit_digit,
+            log_index=log_index,
+            zero_vertex=zero_vertex,
+            restart_index=restart_index,
+            first_zero=first_zero,
+            direction=direction,
+            shift=shift,
+        )
 
 
 def compute_shift(spec: SubsequenceSpec) -> ShiftCertificate:

@@ -7,7 +7,7 @@ residues, so no intermediate ever grows beyond the modulus.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Collection, Iterator
 
 
 class InvalidModulusError(ValueError):
@@ -86,43 +86,75 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
-def pisano_length(m: int) -> int:
-    """The length pi(m) of the Pisano period modulo m, without scanning it.
+def _wall_length(m: int) -> tuple[int, set[int]]:
+    """pi(m) by Wall's theorem, with every prime that can divide it.
 
     pi(m) is the lcm of pi(p**e) over the prime powers of m (Wall 1960).
     For each, Wall's theorem bounds it by a multiple: pi(2) = 3, pi(5) = 20,
     pi(p) divides p - 1 when p = +-1 (mod 5) and 2(p + 1) when p = +-2
     (mod 5), and pi(p**e) divides p**(e-1) * pi(p). The bound is reduced to
     the true order by dividing out each of its prime factors while
-    (F(d), F(d+1)) stays (0, 1) mod p**e. Refuses a modulus above
-    MAX_MODULUS with ValueError, as trial division would run too long.
+    (F(d), F(d+1)) stays (0, 1) mod p**e. The primes of every bound, each p
+    and the primes of its base, hold the primes of the length.
     """
-    _require_modulus(m)
-    if m > MAX_MODULUS:
-        raise ValueError(f"modulus must be at most {MAX_MODULUS} for a period length, got {m}")
-    length = 1
+    length, primes = 1, set()
     for p, e in _prime_factors(m).items():
         power = p**e
         base = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
         order = p ** (e - 1) * base
-        for q in {p, *_prime_factors(base)}:
+        bound_primes = {p, *_prime_factors(base)}
+        for q in bound_primes:
             while order % q == 0 and _fib_pair(order // q, power) == (0, 1):
                 order //= q
         length = math.lcm(length, order)
+        primes |= bound_primes
+    return length, primes
+
+
+def _certify_length(m: int, length: int, primes: Collection[int]) -> None:
+    """Raise RuntimeError unless length is pi(m), the first return of the pair (0, 1).
+
+    primes must hold every prime factor of length. The pair must come back
+    after length terms and, for no prime q of length, after length / q
+    terms; that proves the length least without Wall's theorem.
+    """
+    rest = length
+    for q in primes:
+        if length % q == 0 and _fib_pair(length // q, m) == (0, 1):
+            raise RuntimeError(f"the period of m={m} closes after {length // q} terms, before {length} terms")
+        while rest % q == 0:
+            rest //= q
+    if rest != 1:
+        raise RuntimeError(f"the length {length} for m={m} has a prime factor outside {sorted(primes)}")
+    if _fib_pair(length, m) != (0, 1):
+        raise RuntimeError(f"the period of m={m} does not close after {length} terms")
+
+
+def pisano_length(m: int) -> int:
+    """The length pi(m) of the Pisano period modulo m, without scanning it.
+
+    The length comes from Wall's theorem and is certified before it is
+    returned: a length that is not the least period of m, a program bug,
+    raises RuntimeError. Refuses a modulus above MAX_MODULUS with
+    ValueError, as trial division would run too long.
+    """
+    _require_modulus(m)
+    if m > MAX_MODULUS:
+        raise ValueError(f"modulus must be at most {MAX_MODULUS} for a period length, got {m}")
+    length, primes = _wall_length(m)
+    _certify_length(m, length, primes)
     return length
 
 
 def _period_residues(m: int, length: int) -> Iterator[int]:
     """F(0) .. F(length-1) mod m, one at a time, for length = pisano_length(m).
 
-    Before the first residue the scan checks that the pair (0, 1) does not
-    come back after length / q terms for any prime q of the length, and after
-    the last one that it does come back: otherwise the length is not the
-    least period, a program bug, and the scan raises RuntimeError.
+    Before the first residue the length is certified again, over its own
+    primes, and after the last one the scan checks that the recurrence
+    closes too: a length that is not the least period, a program bug,
+    raises RuntimeError.
     """
-    for q in _prime_factors(length):
-        if _fib_pair(length // q, m) == (0, 1):
-            raise RuntimeError(f"the period of m={m} closes after {length // q} terms, before {length} terms")
+    _certify_length(m, length, _prime_factors(length))
     a, b = 0, 1  # F(i), F(i+1)
     for _ in range(length):
         yield a

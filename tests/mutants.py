@@ -10,14 +10,13 @@ one list, in the order of `_checks.ALL_CHECKS`;
 `<check>-<attr>`, followed by `-<tag>` when the entry has one.
 """
 
-import dataclasses
 import itertools
 from typing import Any, Callable, NamedTuple
 
 from pisano_lab import _checks, complete, quasi, render
-from pisano_lab.complete import ShiftDirection
+from pisano_lab.complete import ShiftCertificate, ShiftDirection
 from pisano_lab.core import lucas_mod
-from pisano_lab.subseq import DiagramType, SubsequenceSpec
+from pisano_lab.subseq import DiagramType, StarPolygon, SubsequenceSpec
 
 
 class Mutant(NamedTuple):
@@ -64,7 +63,15 @@ def unreduced_shift(real):
     def buggy(*args):
         cert = real(*args)
         if cert.direction is ShiftDirection.FORWARD:
-            return dataclasses.replace(cert, shift=60 - cert.restart_index)
+            return ShiftCertificate(
+                unit_digit=cert.unit_digit,
+                log_index=cert.log_index,
+                zero_vertex=cert.zero_vertex,
+                restart_index=cert.restart_index,
+                first_zero=cert.first_zero,
+                direction=cert.direction,
+                shift=60 - cert.restart_index,
+            )
         return cert
 
     return buggy
@@ -152,7 +159,7 @@ MUTANTS = [
     Mutant(
         C.check_polygon_parameters,
         "star_polygon",
-        corrupt_at(spec(0, 59), lambda poly: dataclasses.replace(poly, diagram_type=DiagramType.TYPE1)),
+        corrupt_at(spec(0, 59), lambda poly: StarPolygon(poly.n, poly.q, DiagramType.TYPE1, poly.convex)),
         "r=59: type Type1, walk says Type3",
     ),
     # (59, 1) is the first pair whose reversed partner is the corrupted (59, 59)
@@ -165,7 +172,7 @@ MUTANTS = [
     Mutant(
         C.check_twenty_vertex_steps,
         "star_polygon",
-        corrupt_at(spec(0, 27), lambda poly: dataclasses.replace(poly, q=poly.n - poly.q)),
+        corrupt_at(spec(0, 27), lambda poly: StarPolygon(poly.n, poly.n - poly.q, poly.diagram_type, poly.convex)),
         "r=27: got (20, 11), expected (20, 9)",
     ),
     Mutant(

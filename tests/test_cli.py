@@ -3,6 +3,7 @@ import enum
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisano_lab import cli
+import pisano_lab
+from pisano_lab import cli, core
 from pisano_lab.cli import _chunks, main
 from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
 from pisano_lab.render import render_frames, render_svg
@@ -137,9 +139,10 @@ def test_classify_star_polygon_example(capsys):
 # each documented exit code, with the start of what the run prints on stdout
 # ("" for nothing) and a piece of what it prints on stderr ("" for anything);
 # "{tmp}" stands for a fresh directory. "verify-with-a-seeded-bug" runs
-# `verify` with the first seeded bug of tests/mutants.py patched in, and
-# "period-length-that-does-not-close" runs `period` with a Wall length of 120
-# for m = 10, twice the true one, so the scan raises after the length line
+# `verify` with the first seeded bug of tests/mutants.py patched in, and the
+# two exit-4 rows run `period` with Wall's length doubled (120 for m = 10),
+# which the certificate in pisano_length refuses before anything is printed,
+# below the listing cap and above it
 EXIT_CODES = {
     "period": (["period", "10"], 0, "modulus: 10", ""),
     "help": (["--help"], 0, "usage: pisano-lab", ""),
@@ -159,8 +162,17 @@ EXIT_CODES = {
     "unknown-command": (["frobnicate"], 2, "", "invalid choice: 'frobnicate'"),
     "modulus-1": (["period", "1"], 2, "", "modulus"),
     "unwritable-out": (["diagram", "--k", "3", "--r", "25", "--out", "{tmp}/missing-dir/x.svg"], 3, "", "error: "),
-    "period-length-that-does-not-close": (["period", "10"], 4, "modulus: 10\nlength: 120\n", "error: internal error: "),
+    "period-length-that-does-not-close": (["period", "10"], 4, "", "error: internal error: "),
+    "doubled-length-above-the-listing-cap": (["period", "2000003"], 4, "", "error: internal error: "),
 }
+
+
+def _doubled(wall_length):
+    def doubled(m):
+        length, primes = wall_length(m)
+        return 2 * length, primes
+
+    return doubled
 
 
 @pytest.mark.parametrize("argv, code, head, err_part", EXIT_CODES.values(), ids=EXIT_CODES)
@@ -169,7 +181,7 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, head, err_part):
         mutant = MUTANTS[0]
         monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
     if code == 4:
-        monkeypatch.setattr(cli, "pisano_length", lambda m: 120)
+        monkeypatch.setattr(core, "_wall_length", _doubled(core._wall_length))
     got, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert got == code
     assert out.startswith(head) and bool(out) == bool(head)
@@ -232,11 +244,12 @@ def test_report_written_to_out_path(capsys, tmp_path, run_cli):
     assert code == 0
     report = json.loads(target.read_text())
     assert report["results"]["n"] == 12
-    # in JSON mode the file holds exactly the bytes printed to stdout
+    # in JSON mode the file holds exactly the bytes printed to stdout, and in
+    # text mode, which makes the residues or rows again for the file, too
     for argv in (("period", "8"), ("sweep",)):
         code, out, written, _ = run_cli(*argv, "--format", "json")
         assert code == 0
-        assert written == out.encode("utf-8")
+        assert written == out.encode("utf-8") == run_cli(*argv).written
 
 
 # sha256 and length of the stdout of six commands; a change to these bytes
@@ -323,6 +336,29 @@ def test_period_report_costs_little_beyond_the_scan(fmt):
         code, peak = _traced(lambda: main(["period", "--m", "31250", "--format", fmt]))
     assert code == 0
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sweep_holds_no_row_list(fmt):
+    # the 3,540 rows are classified as they are written; their list of dicts,
+    # held before the first byte, peaked above 1 MiB in either format
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        code, peak = _traced(lambda: main(["sweep", "--format", fmt]))
+    assert code == 0
+    assert peak < 2**19
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize into every CLI start;
+    # the child runs without site, so only the package's own imports count
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    root = str(Path(pisano_lab.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import pisano_lab.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
 
 
 class _Colour(enum.Enum):

@@ -120,6 +120,19 @@ def test_period_scan_refuses_a_length_that_does_not_close(monkeypatch, wrong):
         pisano_period(10)
 
 
+# Wall's length for m = 10 off by a factor: half of it does not close, twice
+# it closes first at the true length, and 7 times it has a prime outside the
+# primes of Wall's bounds, which the certificate must cover
+@pytest.mark.parametrize(
+    "wrong, message", [(30, "does not close after 30 terms"), (120, "closes after 60 terms"), (420, "outside")]
+)
+def test_pisano_length_certifies_the_wall_length(monkeypatch, wrong, message):
+    primes = core._wall_length(10)[1]
+    monkeypatch.setattr(core, "_wall_length", lambda m: (wrong, primes))
+    with pytest.raises(RuntimeError, match=message):
+        pisano_length(10)
+
+
 def test_pisano_length_refuses_a_modulus_above_the_cap_at_once():
     assert pisano_length(MAX_MODULUS) == 1_500_000_000_000
     start = time.perf_counter()

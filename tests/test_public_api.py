@@ -3,7 +3,11 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import pisano_lab
+from pisano_lab import SubsequenceSpec, compute_shift, star_polygon
+from pisano_lab._checks import CheckResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +50,42 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"pisano_lab.{module}"), attr, None))
     ]
     assert missing == []
+
+
+# each record, another of its class with other values, and its repr
+RECORDS = {
+    "SubsequenceSpec": (SubsequenceSpec(k=9, r=13), SubsequenceSpec(k=13, r=9), "SubsequenceSpec(k=9, r=13)"),
+    "StarPolygon": (
+        star_polygon(SubsequenceSpec(k=3, r=25)),
+        star_polygon(SubsequenceSpec(k=3, r=35)),
+        "StarPolygon(n=12, q=5, diagram_type=<DiagramType.TYPE2: 'Type2'>, convex=False)",
+    ),
+    "ShiftCertificate": (
+        compute_shift(SubsequenceSpec(k=9, r=13)),
+        compute_shift(SubsequenceSpec(k=9, r=17)),
+        "ShiftCertificate(unit_digit=3, log_index=1, zero_vertex=15, restart_index=42, first_zero=12,"
+        " direction=<ShiftDirection.FORWARD: 'forward'>, shift=18)",
+    ),
+    "CheckResult": (
+        CheckResult("fib-recurrence", True, "all n"),
+        CheckResult("fib-recurrence", False, "all n"),
+        "CheckResult(name='fib-recurrence', passed=True, detail='all n')",
+    ),
+}
+
+
+@pytest.mark.parametrize("record, other, text", RECORDS.values(), ids=RECORDS)
+def test_records_are_frozen_values(record, other, text):
+    fields = dict(vars(record))
+    # the fields in their declared order, which the classify certificate keeps
+    assert list(fields) == list(type(record).__annotations__)
+    twin = type(record)(**fields)
+    assert twin == record and not twin != record and hash(twin) == hash(record)
+    assert other != record and record != tuple(fields.values()) and record != fields
+    assert repr(record) == text
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert vars(record) == fields
