@@ -155,6 +155,19 @@ def compute_shift(spec: SubsequenceSpec) -> ShiftCertificate:
     )
 
 
+def _window_starts(table: bytes, terms: bytes) -> list[int]:
+    """Every start in [0, 59] of a 60-term window of table (120 terms) equal to terms."""
+    if len(terms) != CIRCLE_POINTS:
+        return []
+    end = 2 * CIRCLE_POINTS - 1  # the window at start 59 ends at index 118
+    starts = []
+    start = table.find(terms, 0, end)
+    while start >= 0:
+        starts.append(start)
+        start = table.find(terms, start + 1, end)
+    return starts
+
+
 def brute_force_shift(spec: SubsequenceSpec) -> tuple[ShiftDirection, int]:
     """Find the alignment by trying all 120 (direction, shift) candidates.
 
@@ -163,25 +176,19 @@ def brute_force_shift(spec: SubsequenceSpec) -> tuple[ShiftDirection, int]:
     exact match against a 60-term window of the parent period read
     forward or in reverse. Zero or multiple matches raise
     OracleFailureError, since the parent period contains exactly one
-    adjacent (0, 1) pair in each direction.
-
-    A window is copied and compared only when its first term equals the
-    period's first term; tuple equality demands that anyway, so the gate
-    leaves the set of matches unchanged.
+    adjacent (0, 1) pair in each direction. The residues are bytes, so
+    each direction is searched by repeated C-level `bytes.find` calls,
+    each resuming one past the last match, which finds every matching
+    window.
     """
     _require_unit(spec)
-    terms = subsequence_period(spec)
-    first = terms[0]
-    forward = PARENT_PERIOD * 2
+    terms = bytes(subsequence_period(spec))
+    # built on each call from the module's PARENT_PERIOD, which tests replace
+    forward = bytes(PARENT_PERIOD * 2)
     # reverse[start + j] is PARENT_PERIOD[(shift - j) % 60] for start = 59 - shift
-    reverse = PARENT_PERIOD[::-1] * 2
-    matches = []
-    for shift in range(CIRCLE_POINTS):
-        if forward[shift] == first and forward[shift : shift + CIRCLE_POINTS] == terms:
-            matches.append((ShiftDirection.FORWARD, shift))
-        start = CIRCLE_POINTS - 1 - shift
-        if reverse[start] == first and reverse[start : start + CIRCLE_POINTS] == terms:
-            matches.append((ShiftDirection.REVERSE, shift))
+    reverse = forward[::-1]
+    matches = [(ShiftDirection.FORWARD, shift) for shift in _window_starts(forward, terms)]
+    matches += [(ShiftDirection.REVERSE, CIRCLE_POINTS - 1 - start) for start in _window_starts(reverse, terms)]
     if len(matches) != 1:
         raise OracleFailureError(
             f"expected exactly one alignment for (k={spec.k}, r={spec.r}), found {len(matches)}"

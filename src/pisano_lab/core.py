@@ -7,7 +7,7 @@ residues, so no intermediate ever grows beyond the modulus.
 from __future__ import annotations
 
 import math
-from typing import Collection, Iterator
+from typing import Iterator
 
 
 class InvalidModulusError(ValueError):
@@ -29,9 +29,12 @@ def _require_index(n: int) -> None:
 
 
 def _fib_pair(n: int, m: int) -> tuple[int, int]:
-    """(F(n) mod m, F(n+1) mod m) for n >= 0, by iterative fast doubling."""
-    a, b = 0, 1  # F(0), F(1)
-    for bit in bin(n)[2:]:
+    """(F(n) mod m, F(n+1) mod m) for n >= 0 and m >= 2, by iterative fast doubling."""
+    if n == 0:
+        return 0, 1
+    # the leading bit of n takes (F(0), F(1)) to (F(1), F(2)); double from there
+    a, b = 1, 1
+    for bit in bin(n)[3:]:
         # F(2i) = F(i) * (2*F(i+1) - F(i)),  F(2i+1) = F(i)^2 + F(i+1)^2
         even = (a * (2 * b - a)) % m
         odd = (a * a + b * b) % m
@@ -111,7 +114,7 @@ def _wall_length(m: int) -> tuple[int, set[int]]:
     return length, primes
 
 
-def _certify_length(m: int, length: int, primes: Collection[int]) -> None:
+def _certify_length(m: int, length: int, primes: set[int]) -> None:
     """Raise RuntimeError unless length is pi(m), the first return of the pair (0, 1).
 
     primes must hold every prime factor of length. The pair must come back
@@ -149,12 +152,10 @@ def pisano_length(m: int) -> int:
 def _period_residues(m: int, length: int) -> Iterator[int]:
     """F(0) .. F(length-1) mod m, one at a time, for length = pisano_length(m).
 
-    Before the first residue the length is certified again, over its own
-    primes, and after the last one the scan checks that the recurrence
-    closes too: a length that is not the least period, a program bug,
-    raises RuntimeError.
+    pisano_length has certified the length; after the last residue the
+    scan checks that the recurrence closes too, so a length that does not
+    close, a program bug, raises RuntimeError.
     """
-    _certify_length(m, length, _prime_factors(length))
     a, b = 0, 1  # F(i), F(i+1)
     for _ in range(length):
         yield a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, star_polygon
+from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, _vertex_count
 
 CANVAS = 600
 CENTER = 300.0
@@ -69,7 +69,8 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> tuple[t
     in the step-by-step construction frames; any other step_limit, or one
     that is not an int, raises ValueError.
     """
-    n = star_polygon(spec).n
+    _require_spec(spec)
+    n = _vertex_count(spec.r)
     if step_limit is not None:
         # an exact type test, so bool (an int subclass) is refused too
         if type(step_limit) is not int:

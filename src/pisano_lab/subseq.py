@@ -102,6 +102,11 @@ class StarPolygon(_Record):
         self.__dict__.update(n=n, q=q, diagram_type=diagram_type, convex=convex)
 
 
+def _vertex_count(r: int) -> int:
+    # the walk in steps of r closes after 60 / gcd(r, 60) points
+    return CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
+
+
 def star_polygon(spec: SubsequenceSpec) -> StarPolygon:
     """Classify the diagram drawn by jump size r (k never matters).
 
@@ -112,10 +117,9 @@ def star_polygon(spec: SubsequenceSpec) -> StarPolygon:
     """
     _require_spec(spec)
     r = spec.r
-    g = math.gcd(r, CIRCLE_POINTS)
-    n = CIRCLE_POINTS // g
-    q = r // g
-    if g == 1:
+    n = _vertex_count(r)
+    q = r * n // CIRCLE_POINTS  # r / gcd(r, 60)
+    if n == CIRCLE_POINTS:
         diagram_type = DiagramType.TYPE3
     elif CIRCLE_POINTS % r == 0 or CIRCLE_POINTS % (CIRCLE_POINTS - r) == 0:
         diagram_type = DiagramType.TYPE1
@@ -135,8 +139,7 @@ def subsequence_period(spec: SubsequenceSpec) -> tuple[int, ...]:
     """
     _require_spec(spec)
     k, r = spec.k, spec.r
-    n = CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
-    return _UNROLLED_PARENT[k : k + r * n : r]
+    return _UNROLLED_PARENT[k : k + r * _vertex_count(r) : r]
 
 
 def _fixed_jump_period(k: int, r: int) -> tuple[int, ...]:

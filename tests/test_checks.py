@@ -3,12 +3,18 @@
 The exhaustive property sweeps live only in `pisano_lab._checks`. Each
 check gets one test id that reads its entry from the session's single
 `verify` run, and at least one seeded bug from `mutants.py` that it must
-catch.
+catch. The last tests run the battery's forked worker, which takes the odd
+positions of `ALL_CHECKS` when two CPUs are usable.
 """
+
+import os
+import signal
+import time
 
 import pytest
 
 from pisano_lab import _checks
+from pisano_lab.cli import main
 
 from mutants import MUTANTS
 
@@ -40,3 +46,106 @@ def test_mutant_is_caught(monkeypatch, mutant):
     result = mutant.check()
     assert result.passed is False
     assert result.detail == mutant.detail
+
+
+TEST_PID = os.getpid()
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the battery forks a worker only when two CPUs are usable",
+)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made during the test, one entry each."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_run_all_on_one_cpu_equals_the_forked_run(forks):
+    forked = _checks.run_all()
+    assert len(forks) == 1
+    assert_no_child_left()
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        pinned = _checks.run_all()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert len(forks) == 1  # one CPU: the whole battery ran in this process
+    assert pinned == forked
+
+
+@needs_two_cpus
+def test_run_all_runs_here_when_no_process_can_be_forked(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    battery = (_checks.check_antipodal_sums, _checks.check_twenty_vertex_steps)
+    monkeypatch.setattr(_checks, "ALL_CHECKS", battery)
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert _checks.run_all() == [check() for check in battery]
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # the pipe was closed
+
+
+def check_that_raises():
+    raise ZeroDivisionError("seeded")
+
+
+def check_that_dies_in_a_worker():
+    if os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _checks.CheckResult("dies-in-a-worker", True, "")
+
+
+def check_that_sleeps_in_a_worker():
+    if os.getpid() != TEST_PID:
+        time.sleep(30)
+    return _checks.CheckResult("sleeps-in-a-worker", True, "")
+
+
+# a broken check at an odd position runs in the worker, one at position 0 in
+# this process, beside a worker that would sleep for 30 s unless it is killed
+@needs_two_cpus
+@pytest.mark.parametrize(
+    "battery, message",
+    [
+        (
+            (_checks.check_antipodal_sums, check_that_raises),
+            "check_that_raises raised in the verify worker: ZeroDivisionError('seeded')",
+        ),
+        (
+            (_checks.check_antipodal_sums, check_that_dies_in_a_worker),
+            "the verify worker exited with code -9 in check_that_dies_in_a_worker",
+        ),
+        ((check_that_raises, check_that_sleeps_in_a_worker), "ZeroDivisionError('seeded')"),
+    ],
+    ids=["raises-in-the-worker", "dies-in-the-worker", "raises-beside-the-worker"],
+)
+def test_a_broken_check_exits_4_and_leaves_no_child(capsys, monkeypatch, forks, battery, message):
+    monkeypatch.setattr(_checks, "ALL_CHECKS", battery)
+    start = time.perf_counter()
+    code = main(["verify"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: ") and err.count("\n") == 1, err
+    assert message in err, err
+    assert len(forks) == 1
+    assert elapsed < 10
+    assert_no_child_left()

@@ -138,15 +138,26 @@ def test_classify_star_polygon_example(capsys):
 
 # each documented exit code, with the start of what the run prints on stdout
 # ("" for nothing) and a piece of what it prints on stderr ("" for anything);
-# "{tmp}" stands for a fresh directory. "verify-with-a-seeded-bug" runs
-# `verify` with the first seeded bug of tests/mutants.py patched in, and the
-# two exit-4 rows run `period` with Wall's length doubled (120 for m = 10),
-# which the certificate in pisano_length refuses before anything is printed,
-# below the listing cap and above it
+# "{tmp}" stands for a fresh directory. The two `verify` rows run with a
+# seeded bug of tests/mutants.py patched in (SEEDED_BUGS). The first fails
+# fib-recurrence, at position 0 of the battery. The second is the bug for
+# negative-index-reflection, at position 1, which a forked worker runs when two
+# CPUs are usable; the wrong F(-200) mod 30 fails fib-recurrence as well, and
+# both FAIL lines must come in battery order. The two exit-4 rows run
+# `period` with Wall's length doubled (120 for m = 10), which the certificate
+# in pisano_length refuses before anything is printed, below the listing cap
+# and above it
 EXIT_CODES = {
     "period": (["period", "10"], 0, "modulus: 10", ""),
     "help": (["--help"], 0, "usage: pisano-lab", ""),
     "verify-with-a-seeded-bug": (["verify"], 1, f"FAIL fib-recurrence: {MUTANTS[0].detail}", ""),
+    "verify-with-a-seeded-bug-at-an-odd-position": (
+        ["verify"],
+        1,
+        "FAIL fib-recurrence: recurrence breaks at n=-200, m=30\n"
+        f"FAIL negative-index-reflection: {MUTANTS[2].detail}\n",
+        "",
+    ),
     "modulus-twice": (["period", "8", "--m", "8"], 2, "", "usage: pisano-lab"),
     "modulus-missing": (["period"], 2, "", "usage: pisano-lab"),
     "diagram-without-out": (["diagram", "--k", "3", "--r", "25"], 2, "", "usage: pisano-lab"),
@@ -162,7 +173,7 @@ EXIT_CODES = {
     "unknown-command": (["frobnicate"], 2, "", "invalid choice: 'frobnicate'"),
     "modulus-1": (["period", "1"], 2, "", "modulus"),
     "unwritable-out": (["diagram", "--k", "3", "--r", "25", "--out", "{tmp}/missing-dir/x.svg"], 3, "", "error: "),
-    "period-length-that-does-not-close": (["period", "10"], 4, "", "error: internal error: "),
+    "doubled-length-below-the-listing-cap": (["period", "10"], 4, "", "error: internal error: "),
     "doubled-length-above-the-listing-cap": (["period", "2000003"], 4, "", "error: internal error: "),
 }
 
@@ -175,10 +186,15 @@ def _doubled(wall_length):
     return doubled
 
 
-@pytest.mark.parametrize("argv, code, head, err_part", EXIT_CODES.values(), ids=EXIT_CODES)
-def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, head, err_part):
-    if code == 1:
-        mutant = MUTANTS[0]
+SEEDED_BUGS = {"verify-with-a-seeded-bug": MUTANTS[0], "verify-with-a-seeded-bug-at-an-odd-position": MUTANTS[2]}
+
+
+@pytest.mark.parametrize(
+    "row, argv, code, head, err_part", [(row, *case) for row, case in EXIT_CODES.items()], ids=EXIT_CODES
+)
+def test_exit_codes(capsys, monkeypatch, tmp_path, row, argv, code, head, err_part):
+    if row in SEEDED_BUGS:
+        mutant = SEEDED_BUGS[row]
         monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
     if code == 4:
         monkeypatch.setattr(core, "_wall_length", _doubled(core._wall_length))

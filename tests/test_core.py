@@ -112,10 +112,15 @@ def test_pisano_period_reaches_six_m_at_twice_a_power_of_five():
         assert len(pisano_period(2 * 5**k)) == 12 * 5**k, k
 
 
-# 59 and 61 do not close; 120 closes, but only after its multiple 60 did
+# 59 and 61 do not close, which the scan's end check finds; 120 closes, but
+# only after its divisor 60 did, which the certificate in pisano_length finds
 @pytest.mark.parametrize("wrong", [59, 61, 120])
 def test_period_scan_refuses_a_length_that_does_not_close(monkeypatch, wrong):
-    monkeypatch.setattr(core, "pisano_length", lambda m: wrong)
+    if wrong == 120:
+        primes = core._wall_length(10)[1]
+        monkeypatch.setattr(core, "_wall_length", lambda m: (wrong, primes))
+    else:
+        monkeypatch.setattr(core, "pisano_length", lambda m: wrong)
     with pytest.raises(RuntimeError, match=f"the period of m=10 .*close.* {wrong} terms"):
         pisano_period(10)
 
