@@ -30,6 +30,10 @@ k-major (text: one `k=... r=...` line per row). Like the residues of
 `period`, the rows are made as they are written, so no list of them is
 held: JSON mode classifies each (k, r) once, and text mode with --out
 classifies it twice, once for each output.
+
+`diagram` reports the SVG files it wrote (text: one `wrote PATH` line
+each). With --frames it writes each construction frame as it is made, so,
+like the residues and the rows above, the documents are not held as a list.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from . import _checks
 from .complete import ShiftCertificate, compute_shift
 from .core import MAX_LISTED_MODULUS, _period_residues, pisano_length
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
-from .render import render_frames, render_svg
+from .render import _frames, render_svg
 from .subseq import CIRCLE_POINTS, StarPolygon, SubsequenceSpec, star_polygon, subsequence_period
 
 EXIT_OK = 0
@@ -295,19 +299,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
+    """Write the diagram to --out, or with --frames frame s of the walk to
+    `<base>-<s:02d>.svg`, base being --out less a `.svg` suffix. An empty
+    --out is refused before any frame is made; then each frame is written,
+    and dropped, before the next one is made."""
     spec = SubsequenceSpec(k=args.k, r=args.r)
     out = Path(args.out)
     results: dict
     if args.frames:
-        frames = render_frames(spec)
         if not args.out:
             # Path('') is '.', which would put the frames in the working directory
             raise FileNotFoundError("an empty --out path names no file")
         base = out.with_suffix("") if out.suffix == ".svg" else out
         files = []
-        for index, document in enumerate(frames):
+        for index, document in enumerate(_frames(spec)):
             path = Path(f"{base}-{index:02d}.svg")
             path.write_bytes(document)
+            del document  # before the next frame is made: one document is alive at a time
             files.append(str(path))
         results = {"files": files, "frame_count": len(files)}
     else:

@@ -4,11 +4,15 @@ Output is byte-identical across runs and platforms: trigonometry runs in
 double precision, every coordinate is rounded exactly once to three
 decimals at serialization, and element order is fixed (circle, ticks,
 labels, edges).
+
+The construction frames of a walk share one head and one list of formatted
+edge lines, and `_frames` makes their documents one at a time.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, _vertex_count
 
@@ -99,14 +103,26 @@ def render_svg(spec: SubsequenceSpec, step_limit: int | None = None) -> bytes:
     return _document(head, _edge_lines(edges, points))
 
 
+def _frames(spec: SubsequenceSpec) -> Iterator[bytes]:
+    """The documents of `render_frames(spec)`, made one at a time.
+
+    Not a generator function: the scene, the layout and the edge lines are
+    built at the call, so a bad spec raises ValueError here, and each step
+    of the returned iterator only joins its frame's document.
+    """
+    edges = build_scene(spec)  # first, so a bad spec pays for no layout
+    head, points = circle_layout()
+    lines = _edge_lines(edges, points)
+    return (_document(head, lines[: s + 1]) for s in range(len(lines)))
+
+
 def render_frames(spec: SubsequenceSpec) -> list[bytes]:
     """One SVG per construction step; frame s shows the first s + 1 edges.
 
     The scene is built and each edge formatted once. Frame s equals
     `render_svg(spec, step_limit=s + 1)`, and the last frame is the
-    complete closed diagram, `render_svg(spec)`.
+    complete closed diagram, `render_svg(spec)`. This is the list of
+    `_frames(spec)`; a caller that writes each frame as it is made iterates
+    `_frames` instead, holding one document at a time.
     """
-    edges = build_scene(spec)  # first, so a bad spec pays for no layout
-    head, points = circle_layout()
-    lines = _edge_lines(edges, points)
-    return [_document(head, lines[: s + 1]) for s in range(len(lines))]
+    return list(_frames(spec))

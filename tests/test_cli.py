@@ -453,7 +453,32 @@ def test_diagram_unwritable_path(capsys, tmp_path, monkeypatch):
             assert code == 3, (target, frames)
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert out == ""
+    # the empty path is refused before any frame is made: a scene that cannot
+    # be built is never reached, so the command exits 3, not 4
+    def no_scene(spec):
+        raise RuntimeError("no frame may be made for an empty --out")
+
+    monkeypatch.setattr("pisano_lab.render.build_scene", no_scene)
+    code, out, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--out", "")
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_diagram_frames_hold_one_frame(tmp_path):
+    # each frame is written as it is made; a list of the 60 documents would
+    # make the peak about 8x that of the single diagram
+    def traced_peak(*frames):
+        argv = ["diagram", "--k", "9", "--r", "13", *frames, "--out", str(tmp_path / "w.svg")]
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert main(argv) == 0  # warm-up
+            code, peak = _traced(lambda: main(argv))
+        assert code == 0
+        return peak
+
+    assert traced_peak("--frames") < 1.5 * traced_peak()
+    assert sorted(p.name for p in tmp_path.glob("w-*.svg")) == [f"w-{i:02d}.svg" for i in range(60)]
 
 
 def test_report_unwritable_path_prints_nothing(capsys, tmp_path):
