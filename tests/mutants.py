@@ -49,13 +49,14 @@ def spec(k: int, r: int) -> tuple:
     return (SubsequenceSpec(k=k, r=r),)
 
 
+def term_off(j: int) -> Callable[[tuple], tuple]:
+    """Term j of a tuple of residues one too large."""
+    return lambda terms: terms[:j] + ((terms[j] + 1) % 10,) + terms[j + 1 :]
+
+
 def period_wrong_at(k: int, r: int, j: int) -> Callable[[Any], Any]:
     """Term j of the (k, r) period one too large."""
-
-    def corrupt(terms):
-        return terms[:j] + ((terms[j] + 1) % 10,) + terms[j + 1 :]
-
-    return corrupt_at(spec(k, r), corrupt)
+    return corrupt_at(spec(k, r), term_off(j))
 
 
 def unreduced_shift(real):
@@ -104,6 +105,12 @@ def flipped(values):
 
 def counterclockwise(real):
     return lambda p: 90.0 + 6.0 * (p % 60)
+
+
+def svg_one_longer(real):
+    # state kept between calls: each document ends in one more newline than the last
+    calls = itertools.count()
+    return lambda spec: real(spec) + b"\n" * next(calls)
 
 
 C = _checks
@@ -162,6 +169,21 @@ MUTANTS = [
         corrupt_at(spec(0, 59), lambda poly: StarPolygon(poly.n, poly.q, DiagramType.TYPE1, poly.convex)),
         "r=59: type Type1, walk says Type3",
     ),
+    # r = 59 steps one point back each time: q = 59, not its mirror 1
+    Mutant(
+        C.check_polygon_parameters,
+        "star_polygon",
+        corrupt_at(spec(0, 59), lambda poly: StarPolygon(poly.n, poly.n - poly.q, poly.diagram_type, poly.convex)),
+        "r=59: formula gives (60, 1), walk gives (60, 59)",
+        tag="step",
+    ),
+    Mutant(
+        C.check_polygon_parameters,
+        "star_polygon",
+        corrupt_at(spec(0, 59), lambda poly: StarPolygon(poly.n, poly.q, poly.diagram_type, not poly.convex)),
+        "r=59: convex flag disagrees with q",
+        tag="convex",
+    ),
     # (59, 1) is the first pair whose reversed partner is the corrupted (59, 59)
     Mutant(
         C.check_reversed_jumps,
@@ -192,6 +214,14 @@ MUTANTS = [
         "dodecagon_tuple",
         corrupt_at((59,), flipped),
         "k=59: expected a rotation of the Lucas period",
+    ),
+    # flipping a rotation of 0, 5, 5 gives another rotation, so the last term is changed instead
+    Mutant(
+        C.check_dodecagon_tuples,
+        "dodecagon_tuple",
+        corrupt_at((55,), term_off(11)),
+        "k=55: expected a rotation of the 0,5,5 pattern",
+        tag="zero-five",
     ),
     Mutant(
         C.check_forward_guarantee,
@@ -248,6 +278,14 @@ MUTANTS = [
         fib_mod_wrong_at(59, 10),
         "r=59: F(59) mod 10 is 2, not a unit",
     ),
+    # r = 17 is the last unit whose anchors, F(44) and F(46), the loop reads for the first time
+    Mutant(
+        C.check_inverse_anchor_positions,
+        "fib_mod",
+        fib_mod_wrong_at(46, 10),
+        "r=17: F(46) is not the inverse of F(17)",
+        tag="anchor",
+    ),
     # the first zero of (59, 59) sits at j = 14
     Mutant(
         C.check_four_zeros,
@@ -276,10 +314,37 @@ MUTANTS = [
         "(k=59, r=59): the period has no zero",
     ),
     Mutant(
+        C.check_first_zero_minimality,
+        "first_zero_index",
+        corrupt_at(spec(59, 59), lambda j0: j0 + 1),
+        "(k=59, r=59): computed 15, scan found 14",
+    ),
+    Mutant(
         C.check_unit_group_tables,
         "unit_group",
         corrupt_at((30,), lambda inverse: {**inverse, 29: 1}),
         "U(30): 29 and 1 are not mutual inverses",
+    ),
+    Mutant(
+        C.check_unit_group_tables,
+        "unit_group",
+        corrupt_at((10,), lambda inverse: {u: inverse[u] for u in reversed(inverse)}),
+        "U(10) came out as (9, 7, 3, 1)",
+        tag="u10-order",
+    ),
+    Mutant(
+        C.check_unit_group_tables,
+        "unit_group",
+        corrupt_at((10,), lambda inverse: {**inverse, 3: 3, 7: 7}),
+        "U(10) inverses came out as {1: 1, 3: 3, 7: 7, 9: 9}",
+        tag="u10-inverses",
+    ),
+    Mutant(
+        C.check_unit_group_tables,
+        "unit_group",
+        corrupt_at((60,), lambda inverse: {**inverse, 59: 1}),
+        "U(60) inverses disagree with the reference table",
+        tag="u60",
     ),
     # every point is a vertex when r = 59, so the last case a moved endpoint can show is r = 58
     Mutant(
@@ -302,6 +367,12 @@ MUTANTS = [
         "build_scene",
         corrupt_at(spec(1, 59), dropped_edge),
         "(k=2, r=59): rotated scene draws different edges",
+    ),
+    Mutant(
+        C.check_render_determinism,
+        "render_svg",
+        svg_one_longer,
+        "two renders of the same full scene differ",
     ),
     Mutant(
         C.check_render_determinism,

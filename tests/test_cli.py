@@ -17,7 +17,7 @@ import pisano_lab
 from pisano_lab import cli, core
 from pisano_lab.cli import _chunks, main
 from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
-from pisano_lab.render import render_frames, render_svg
+from pisano_lab.render import render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
 from mutants import MUTANTS
@@ -209,6 +209,19 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, row, argv, code, head, err_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_into_a_closed_pipe_exits_3_quietly():
+    # a reader that stops after one line, as `| head -1` does; the 271 KB of
+    # rows cannot all fit in the pipe before it is closed
+    root = str(Path(pisano_lab.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "pisano_lab.cli", "sweep"]
+    env = {**os.environ, "PYTHONPATH": root}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline().startswith(b"k=0 r=1 ")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (3, b"")
+
+
 def test_sweep_counts(run_cli):
     code, out, *_ = run_cli("sweep")
     assert code == 0
@@ -261,8 +274,9 @@ def test_report_written_to_out_path(capsys, tmp_path, run_cli):
     report = json.loads(target.read_text())
     assert report["results"]["n"] == 12
     # in JSON mode the file holds exactly the bytes printed to stdout, and in
-    # text mode, which makes the residues or rows again for the file, too
-    for argv in (("period", "8"), ("sweep",)):
+    # text mode, which makes the residues or rows again for the file, too;
+    # the 37,500 residues of m = 6250 cross ten 4,096-int blocks
+    for argv in (("period", "--m", "6250"), ("sweep",)):
         code, out, written, _ = run_cli(*argv, "--format", "json")
         assert code == 0
         assert written == out.encode("utf-8") == run_cli(*argv).written
@@ -412,11 +426,10 @@ def test_diagram_frames(capsys, tmp_path):
     target = tmp_path / "steps.svg"
     code, out, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--out", str(target))
     assert code == 0
-    frames = render_frames(SubsequenceSpec(k=3, r=25))
     paths = sorted(tmp_path.glob("steps-*.svg"))
     assert [p.name for p in paths] == [f"steps-{i:02d}.svg" for i in range(12)]
-    for path, frame in zip(paths, frames):
-        assert path.read_bytes() == frame
+    for s, path in enumerate(paths):
+        assert path.read_bytes() == (GOLDEN_DIR / f"steps-3-25-{s:02d}.svg").read_bytes(), s
     code, out, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--format", "json", "--out", str(target))
     assert code == 0 and json.loads(out)["results"]["frame_count"] == 12
 
@@ -425,8 +438,7 @@ def test_diagram_steps_render_a_partial_walk(capsys, tmp_path):
     target = tmp_path / "ten.svg"
     code, _, _ = run(capsys, "diagram", "--k", "9", "--r", "13", "--steps", "10", "--out", str(target))
     assert code == 0
-    document = target.read_text()
-    assert document.count("<line ") == 10
+    assert target.read_bytes() == (GOLDEN_DIR / "first-ten-9-13.svg").read_bytes()
     argv = ("diagram", "--k", "9", "--r", "13", "--steps", "10", "--format", "json", "--out", str(target))
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["results"]["edge_count"] == 10
@@ -479,6 +491,9 @@ def test_diagram_frames_hold_one_frame(tmp_path):
 
     assert traced_peak("--frames") < 1.5 * traced_peak()
     assert sorted(p.name for p in tmp_path.glob("w-*.svg")) == [f"w-{i:02d}.svg" for i in range(60)]
+    # the last frame is the whole diagram, and frame 9 the ten-edge golden
+    assert (tmp_path / "w-59.svg").read_bytes() == (tmp_path / "w.svg").read_bytes()
+    assert (tmp_path / "w-09.svg").read_bytes() == (GOLDEN_DIR / "first-ten-9-13.svg").read_bytes()
 
 
 def test_report_unwritable_path_prints_nothing(capsys, tmp_path):

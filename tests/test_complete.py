@@ -29,14 +29,11 @@ def test_unit_group_of_2():
 
 
 def test_unit_group_inverse_properties():
-    for n in range(2, 40):
-        inverse = unit_group(n)
-        # the keys are the units in increasing order, which fixes the first
-        # counterexample each unit-jump check reports
-        assert list(inverse) == [u for u in range(1, n) if math.gcd(u, n) == 1], n
-        for u, v in inverse.items():
-            assert (u * v) % n == 1, (n, u)
-            assert inverse[v] == u, (n, u)
+    # the keys are the units in increasing order: the order of U(60) fixes the
+    # first counterexample each unit-jump check reports. The inverses are
+    # checked by `unit-group-tables`
+    for n in range(2, 61):
+        assert list(unit_group(n)) == [u for u in range(1, n) if math.gcd(u, n) == 1], n
 
 
 def test_unit_group_rejects_bad_modulus():
@@ -125,9 +122,17 @@ def test_certificate_invariants_hold_everywhere():
 def test_oracle_failure_without_an_alignment(monkeypatch):
     # constant terms cannot match the parent period in either direction;
     # only the oracle's term source is patched, not the parent table
+    spec = SubsequenceSpec(k=0, r=13)
+    terms = subsequence_period(spec)
     monkeypatch.setattr(complete, "subsequence_period", lambda spec: (0,) * 60)
     with pytest.raises(OracleFailureError):
-        brute_force_shift(SubsequenceSpec(k=0, r=13))
+        brute_force_shift(spec)
+    # the true terms one short or one long match no 60-term window, though
+    # both would match a window of their own length at the true shift
+    for wrong_length in (terms[:59], terms + terms[:1]):
+        monkeypatch.setattr(complete, "subsequence_period", lambda spec: wrong_length)
+        with pytest.raises(OracleFailureError, match="found 0"):
+            brute_force_shift(spec)
 
 
 def test_oracle_failure_on_several_alignments(monkeypatch):
