@@ -16,25 +16,34 @@ the `verify` report list them.
 Within one check the heavy sweeps do not repeat work: the `fib_mod`
 identity checks read each distinct argument from `fib_mod` once, and the
 grid checks build each period or scene once per (k, r), each as one
-C-level slice. Across checks they do: one `verify` run builds 8,760
+C-level slice. Across checks one thing is shared: `fib-recurrence` and
+`negative-index-reflection` read the same table of F(n) mod m, m in
+[2, 30] and n in [-200, 200], built by `_fib_table` from the `fib_mod`
+bound in this module at that moment. The table is keyed on that function
+object, so a seeded bug patched in for one test, a new object, never
+reads a table built from another. `run_all` builds it before it forks
+and drops it when the run ends; a check called on its own builds one
+unless the last table built came from the same function. Nothing else
+is shared, as the rest is cheap to rebuild: one `verify` run builds 8,760
 subsequence periods for 3,540 distinct specs, and four checks (one of
 them through the shift oracle) each rebuild the 960 unit-jump periods.
-Sharing them between checks was declined: a seeded bug patched in for
-one test would carry into the next through the shared values.
 
 `run_all` runs the battery on two CPUs when it can: if fork exists, two or
 more CPUs are usable (os.sched_getaffinity) and the process has one
 thread, it forks one worker that runs the odd positions of `ALL_CHECKS`
 and sends each result back over one pipe as a marshal record, while this
-process runs the even positions; the two halves take about the same time.
-The worker is a copy of this process, so a seeded bug patched in before
-the fork runs in both halves. It leaves only through os._exit: a normal
-exit would run the atexit handlers, the test runner's teardown or the
-flush of the stdout buffer it inherited, a second time. A check that
-raises in the worker, or a worker that dies, makes `run_all` raise one
-RuntimeError naming the check; when this process raises, it kills the
-worker first, and it reaps it on every path. Otherwise, or when fork
-fails, the whole battery runs in this process, in the same order.
+process runs the even positions; after the shared table, built before
+the fork, the even half, which holds the rotation check, takes about a
+quarter longer than the odd one. The worker is a copy
+of this process, so a seeded bug patched in before the fork runs in both
+halves, and the worker reads the table this process built. It leaves
+only through os._exit: a normal exit would run the atexit handlers, the
+test runner's teardown or the flush of the stdout buffer it inherited, a
+second time. A check that raises in the worker, or a worker that dies,
+makes `run_all` raise one RuntimeError naming the check; when this
+process raises, it kills the worker first, and it reaps it on every path.
+Otherwise, or when fork fails, the whole battery runs in this process,
+in the same order.
 """
 
 from __future__ import annotations
@@ -111,22 +120,31 @@ def _unit_cases() -> Iterator[SubsequenceSpec]:
 # core arithmetic
 
 
+_TABLE_MODULI = range(2, 31)
+
+
+@functools.lru_cache(maxsize=1)
+def _fib_table(fib: Callable[[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """fib(n, m) for every m in _TABLE_MODULI, one row each, and n in [-200, 200],
+    F(n) at position n + 200 of its row (see the module docstring)."""
+    return tuple(tuple(fib(n, m) for n in range(-200, 201)) for m in _TABLE_MODULI)
+
+
 @_check("fib-recurrence", "all n in [-200, 200], m in [2, 30]")
 def check_fib_recurrence() -> str | None:
-    for m in range(2, 31):
-        fib = {n: fib_mod(n, m) for n in range(-200, 201)}
-        for n in range(-200, 199):
-            if fib[n + 2] != (fib[n + 1] + fib[n]) % m:
+    for m, fib in zip(_TABLE_MODULI, _fib_table(fib_mod)):
+        for n, (f0, f1, f2) in enumerate(zip(fib, fib[1:], fib[2:]), -200):
+            if f2 != (f1 + f0) % m:
                 return f"recurrence breaks at n={n}, m={m}"
 
 
 @_check("negative-index-reflection", "all n in [0, 200], m in [2, 30]")
 def check_negative_reflection() -> str | None:
-    for m in range(2, 31):
-        fib = {n: fib_mod(n, m) for n in range(-200, 201)}
-        for n in range(0, 201):
+    for m, fib in zip(_TABLE_MODULI, _fib_table(fib_mod)):
+        # F(-n) and F(n) for n = 0, 1, ..., 200
+        for n, (negative, positive) in enumerate(zip(fib[200::-1], fib[200:])):
             sign = 1 if n % 2 == 1 else -1
-            if fib[-n] != (sign * fib[n]) % m:
+            if negative != (sign * positive) % m:
                 return f"reflection breaks at n={n}, m={m}"
 
 
@@ -159,9 +177,10 @@ def check_index_addition() -> str | None:
 
 @_check("fifteen-step-multiplier", "all n in [0, 60], j in [0, 8]")
 def check_fifteen_step_multiplier() -> str | None:
+    fib = [fib_mod(n, 10) for n in range(0, 181)]
     for n in range(0, 61):
         for j in range(0, 9):
-            if fib_mod(n + 15 * j, 10) != (pow(7, j, 10) * fib_mod(n, 10)) % 10:
+            if fib[n + 15 * j] != (pow(7, j, 10) * fib[n]) % 10:
                 return f"15-step multiplier breaks at n={n}, j={j}"
 
 
@@ -443,7 +462,7 @@ def check_zero_subscripts() -> str | None:
 def check_adjacent_zero_one() -> str | None:
     for spec in _unit_cases():
         terms = subsequence_period(spec)
-        if not any(terms[j] == 0 and terms[(j + 1) % 60] == 1 for j in range(60)):
+        if (0, 1) not in zip(terms, terms[1:] + terms[:1]):
             return f"(k={spec.k}, r={spec.r}): no adjacent 0, 1 pair"
 
 
@@ -451,7 +470,7 @@ def check_adjacent_zero_one() -> str | None:
 def check_first_zero_minimality() -> str | None:
     for spec in _unit_cases():
         terms = subsequence_period(spec)
-        scanned = next((j for j, value in enumerate(terms) if value == 0), None)
+        scanned = terms.index(0) if 0 in terms else None
         if scanned is None:
             return f"(k={spec.k}, r={spec.r}): the period has no zero"
         computed = first_zero_index(spec)
@@ -617,17 +636,21 @@ def _run_beside(checks: tuple[Callable[[], CheckResult], ...], pid: int, fd: int
 def run_all() -> list[CheckResult]:
     """Run every check, in two processes when it can; the results come in ALL_CHECKS order."""
     checks = ALL_CHECKS
-    if _two_cpus_one_thread():
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-        else:
-            if pid == 0:
+    try:
+        _fib_table(fib_mod)  # before the fork, as both halves read it
+        if _two_cpus_one_thread():
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
                 os.close(read_fd)
-                _work(checks[1::2], write_fd)
-            os.close(write_fd)
-            return _run_beside(checks, pid, read_fd)
-    return [check() for check in checks]
+                os.close(write_fd)
+            else:
+                if pid == 0:
+                    os.close(read_fd)
+                    _work(checks[1::2], write_fd)
+                os.close(write_fd)
+                return _run_beside(checks, pid, read_fd)
+        return [check() for check in checks]
+    finally:
+        _fib_table.cache_clear()

@@ -184,7 +184,7 @@ def brute_force_shift(spec: SubsequenceSpec) -> tuple[ShiftDirection, int]:
     _require_unit(spec)
     terms = bytes(subsequence_period(spec))
     # built on each call from the module's PARENT_PERIOD, which tests replace
-    forward = bytes(PARENT_PERIOD * 2)
+    forward = bytes(PARENT_PERIOD) * 2
     # reverse[start + j] is PARENT_PERIOD[(shift - j) % 60] for start = 59 - shift
     reverse = forward[::-1]
     matches = [(ShiftDirection.FORWARD, shift) for shift in _window_starts(forward, terms)]

@@ -11,15 +11,30 @@ from typing import Iterator
 
 
 class InvalidModulusError(ValueError):
-    """Raised when a modulus is not an int of at least 2."""
+    """Raised when a modulus is not an int of at least 2 and at most MAX_MODULUS."""
+
+
+# the largest modulus any function here accepts; pisano_length factors m and
+# Wall's bound for each prime power by trial division, about sqrt(m) = 10**6
+# steps at the cap, and each fast-doubling step works on ints below 10**25,
+# so the cost of fib_mod is linear in the bits of n
+MAX_MODULUS = 10**12
+
+# the largest modulus whose period residues pisano_period returns and `period`
+# lists; below it the longest period is that of 2 * 5**8: 4,687,500 residues
+MAX_LISTED_MODULUS = 10**6
 
 
 def _require_modulus(m: int) -> None:
     # an exact type test, so bool (an int subclass) is refused too
     if type(m) is not int:
         raise InvalidModulusError(f"modulus must be an int, got {m!r}")
-    if m < 2:
-        raise InvalidModulusError(f"modulus must be at least 2, got {m}")
+    if m < 2 or m > MAX_MODULUS:
+        # str() refuses an int of more than 4300 digits, so a longer one is named by its bits
+        got = m if m.bit_length() <= 10_000 else f"an int of {m.bit_length()} bits"
+        if m < 2:
+            raise InvalidModulusError(f"modulus must be at least 2, got {got}")
+        raise InvalidModulusError(f"modulus must be at most {MAX_MODULUS}, got {got}")
 
 
 def _require_index(n: int) -> None:
@@ -46,33 +61,30 @@ def _fib_pair(n: int, m: int) -> tuple[int, int]:
 
 
 def fib_mod(n: int, m: int) -> int:
-    """F(n) mod m for any integer n, including negative indices.
+    """F(n) mod m for any integer n, including negative indices, and 2 <= m <= MAX_MODULUS.
 
     Negative indices go through the reflection F(-n) = (-1)**(n+1) * F(n),
     so one O(log |n|) fast-doubling pass covers the whole integer line.
+    A modulus above MAX_MODULUS raises InvalidModulusError.
     """
-    _require_modulus(m)
-    _require_index(n)
+    # the guards call out only on a bad argument: verify makes about 17,000 calls
+    if type(m) is not int or m < 2 or m > MAX_MODULUS:
+        _require_modulus(m)
+    if type(n) is not int:
+        _require_index(n)
     if n >= 0:
         return _fib_pair(n, m)[0]
     value = _fib_pair(-n, m)[0]
-    return value if n % 2 == 1 else (-value) % m
+    return value if n & 1 else -value % m
 
 
 def lucas_mod(n: int, m: int) -> int:
-    """L(n) mod m, computed as F(n-1) + F(n+1) reduced mod m."""
-    _require_modulus(m)
-    _require_index(n)
+    """L(n) mod m for 2 <= m <= MAX_MODULUS, computed as F(n-1) + F(n+1) reduced mod m."""
+    if type(m) is not int or m < 2 or m > MAX_MODULUS:
+        _require_modulus(m)
+    if type(n) is not int:
+        _require_index(n)
     return (fib_mod(n - 1, m) + fib_mod(n + 1, m)) % m
-
-
-# the largest modulus pisano_length accepts: it factors m and Wall's bound for
-# each prime power by trial division, about sqrt(m) = 10**6 steps at the cap
-MAX_MODULUS = 10**12
-
-# the largest modulus whose period residues pisano_period returns and `period`
-# lists; below it the longest period is that of 2 * 5**8: 4,687,500 residues
-MAX_LISTED_MODULUS = 10**6
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -139,11 +151,9 @@ def pisano_length(m: int) -> int:
     The length comes from Wall's theorem and is certified before it is
     returned: a length that is not the least period of m, a program bug,
     raises RuntimeError. Refuses a modulus above MAX_MODULUS with
-    ValueError, as trial division would run too long.
+    InvalidModulusError, as trial division would run too long.
     """
     _require_modulus(m)
-    if m > MAX_MODULUS:
-        raise ValueError(f"modulus must be at most {MAX_MODULUS} for a period length, got {m}")
     length, primes = _wall_length(m)
     _certify_length(m, length, primes)
     return length
@@ -182,6 +192,10 @@ def antipodal_sum(n: int) -> int:
     """F(n) mod 10 plus F(n+30) mod 10, as an unreduced integer.
 
     The sum is 0 when 15 divides n and 10 otherwise; reducing mod 10
-    would collapse exactly the distinction this exposes.
+    would collapse exactly the distinction this exposes. F mod 10 has
+    period 60 on every integer, negative ones included, so n is reduced
+    mod 60 first and the cost does not grow with n.
     """
+    _require_index(n)
+    n %= 60
     return fib_mod(n, 10) + fib_mod(n + 30, 10)

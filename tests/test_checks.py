@@ -16,7 +16,7 @@ import pytest
 from pisano_lab import _checks
 from pisano_lab.cli import main
 
-from mutants import MUTANTS
+from mutants import MUTANTS, corrupt_at, spec
 
 CHECKS = _checks.ALL_CHECKS
 
@@ -46,6 +46,34 @@ def test_mutant_is_caught(monkeypatch, mutant):
     result = mutant.check()
     assert result.passed is False
     assert result.detail == mutant.detail
+
+
+def test_one_fib_mod_table_serves_a_run(monkeypatch):
+    # fib-recurrence and negative-index-reflection read one table of 29 x 401
+    # values per run, not one each
+    calls = 0
+
+    def counted(n, m, real=_checks.fib_mod):
+        nonlocal calls
+        calls += 1
+        return real(n, m)
+
+    monkeypatch.setattr(_checks, "fib_mod", counted)
+    monkeypatch.setattr(_checks, "ALL_CHECKS", (_checks.check_fib_recurrence, _checks.check_negative_reflection))
+    monkeypatch.setattr(_checks, "_two_cpus_one_thread", lambda: False)
+    assert all(result.passed for result in _checks.run_all())
+    assert calls == 29 * 401
+    assert _checks._fib_table.cache_info().currsize == 0  # dropped when the run ends
+    calls = 0
+    assert _checks.check_negative_reflection().passed
+    assert calls == 29 * 401  # a check called on its own builds its own
+
+
+def test_rotation_check_compares_undirected_edges(monkeypatch):
+    # a scene that draws one edge from its other end draws the same picture
+    flipped_edge = corrupt_at(spec(7, 13), lambda edges: edges[:-1] + (edges[-1][::-1],))
+    monkeypatch.setattr(_checks, "build_scene", flipped_edge(_checks.build_scene))
+    assert _checks.check_rotation_equivalence().passed
 
 
 TEST_PID = os.getpid()

@@ -51,7 +51,7 @@ def test_lucas_mod_matches_slow_iteration():
         assert lucas_mod(n, 10) == expected, n
 
 
-@pytest.mark.parametrize("bad", [1, 0, -5, 10.0, 2.5, True])
+@pytest.mark.parametrize("bad", [1, 0, -5, pytest.param(-(10**5000), id="-10**5000"), 10.0, 2.5, True])
 def test_invalid_modulus_rejected(bad):
     with pytest.raises(InvalidModulusError):
         fib_mod(3, bad)
@@ -142,9 +142,11 @@ def test_pisano_length_refuses_a_modulus_above_the_cap_at_once():
     assert pisano_length(MAX_MODULUS) == 1_500_000_000_000
     start = time.perf_counter()
     for call in (pisano_length, pisano_period):
-        # trial division of the prime 2**61 - 1 would take minutes
-        with pytest.raises(ValueError, match="at most"):
-            call(2**61 - 1)
+        # trial division of the prime 2**61 - 1 would take minutes; 10**5000 is
+        # too long for str(), so the message names it by its bits
+        for m in (2**61 - 1, 10**5000):
+            with pytest.raises(ValueError, match="at most"):
+                call(m)
     assert time.perf_counter() - start < 1
 
 
@@ -168,3 +170,42 @@ def test_pisano_period_is_minimal():
 def test_antipodal_sum_examples(n, expected):
     assert antipodal_sum(n) == expected
 
+
+# F mod 10 has period 60 on every integer, so antipodal_sum reduces n mod 60
+# first; unreduced, the first index took a third of a second
+@pytest.mark.parametrize(
+    "n, small",
+    [(2**10**6 + 7, 2**10**6 % 60 + 7), (-(2**10**6) - 7, -(2**10**6 % 60) - 7)],
+    ids=["2**10**6+7", "-2**10**6-7"],
+)
+def test_antipodal_sum_of_a_huge_index_equals_that_of_a_small_one(n, small):
+    start = time.perf_counter()
+    assert antipodal_sum(n) == antipodal_sum(small)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_antipodal_sum_refuses_a_bool():
+    with pytest.raises(ValueError):
+        antipodal_sum(True)
+
+
+@pytest.mark.parametrize(
+    "call, n, expected", [(fib_mod, 7, 13), (fib_mod, -8, MAX_MODULUS - 21), (lucas_mod, 7, 29)]
+)
+def test_a_modulus_at_the_cap_is_accepted(call, n, expected):
+    assert call(n, MAX_MODULUS) == expected
+
+
+# a huge modulus made each doubling step quadratic in its digits: the second
+# pair of arguments took 38.6 s before the cap
+@pytest.mark.parametrize(
+    "n, m",
+    [(3, MAX_MODULUS + 1), (2**40000 - 1, 10**4000 + 7), (3, 10**5000)],
+    ids=["cap+1", "2**40000-1,10**4000+7", "10**5000"],
+)
+def test_fib_mod_and_lucas_mod_refuse_a_modulus_above_the_cap_at_once(n, m):
+    start = time.perf_counter()
+    for call in (fib_mod, lucas_mod):
+        with pytest.raises(InvalidModulusError, match="at most"):
+            call(n, m)
+    assert time.perf_counter() - start < 1
