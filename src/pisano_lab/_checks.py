@@ -32,16 +32,14 @@ them through the shift oracle) each rebuild the 960 unit-jump periods.
 more CPUs are usable (os.sched_getaffinity) and the process has one
 thread, it forks one worker that runs the odd positions of `ALL_CHECKS`
 and sends each result back over one pipe as a marshal record, while this
-process runs the even positions; after the shared table, built before
-the fork, the even half, which holds the rotation check, takes about a
-quarter longer than the odd one. The worker is a copy
-of this process, so a seeded bug patched in before the fork runs in both
-halves, and the worker reads the table this process built. It leaves
-only through os._exit: a normal exit would run the atexit handlers, the
-test runner's teardown or the flush of the stdout buffer it inherited, a
-second time. A check that raises in the worker, or a worker that dies,
-makes `run_all` raise one RuntimeError naming the check; when this
-process raises, it kills the worker first, and it reaps it on every path.
+process runs the even positions. The worker is a copy of this process,
+so a seeded bug patched in before the fork runs in both halves, and the
+worker reads the table this process built. It leaves only through
+os._exit: a normal exit would run the atexit handlers, the test runner's
+teardown or the flush of the stdout buffer it inherited, a second time.
+A check that raises in the worker, or a worker that dies, makes
+`run_all` raise one RuntimeError naming the check; when this process
+raises, it kills the worker first, and it reaps it on every path.
 Otherwise, or when fork fails, the whole battery runs in this process,
 in the same order.
 """
@@ -535,22 +533,24 @@ def check_diagram_labels() -> str | None:
 
 @_check("diagram-rotation-equivalence", "all 3540 (k, r) pairs")
 def check_rotation_equivalence() -> str | None:
-    def edge_set(k: int, r: int) -> set[tuple[int, int]]:
+    def edge_set(scene: tuple[tuple[int, int], ...]) -> set[tuple[int, int]]:
         # an undirected edge as its (low, high) endpoint pair
-        return {(a, b) if a <= b else (b, a) for a, b in build_scene(SubsequenceSpec(k=k, r=r))}
+        return {(a, b) if a <= b else (b, a) for a, b in scene}
 
     # walk each orbit k, k + r, k + 2r, ... so that every scene is built once
     # and compared with the scene of the next start on its orbit; the first
-    # counterexample is therefore the first in r-major, orbit order
+    # counterexample is therefore the first in r-major, orbit order. The next
+    # start draws the same closed walk from its second edge on, so the edge
+    # sets are built only when that rotation differs
     for r in range(1, 60):
         g = math.gcd(r, CIRCLE_POINTS)
         for start in range(g):
-            first = current = edge_set(start, r)
+            first = current = build_scene(SubsequenceSpec(k=start, r=r))
             k = start
             for _ in range(CIRCLE_POINTS // g):
                 k_next = (k + r) % CIRCLE_POINTS
-                following = first if k_next == start else edge_set(k_next, r)
-                if current != following:
+                following = first if k_next == start else build_scene(SubsequenceSpec(k=k_next, r=r))
+                if following != current[1:] + current[:1] and edge_set(following) != edge_set(current):
                     return f"(k={k}, r={r}): rotated scene draws different edges"
                 current, k = following, k_next
 

@@ -22,8 +22,9 @@ L from Wall's theorem (core.pisano_length) before it scans, and streams the
 residues from the scan into the report, so no list or tuple as long as the
 period is held. Above core.MAX_LISTED_MODULUS (10**6) the results hold the
 length alone, `{"length": L}` (text: `modulus:` and `length:` lines); a
-modulus above core.MAX_MODULUS (10**12) exits 2. pisano_length certifies L
-before it returns, so a wrong length exits 4 with nothing on stdout.
+modulus above core.MAX_MODULUS (10**12) exits 2. pisano_length checks that
+Wall's bound is a period of m before it reduces it to L, so a bound that
+is not exits 4 with nothing on stdout.
 
 `sweep` reports `{"row_count": 3540, "rows": [...]}`, one row per (k, r),
 k-major (text: one `k=... r=...` line per row). Like the residues of
@@ -204,7 +205,7 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
 def cmd_period(args: argparse.Namespace) -> int:
     # the parser has taken exactly one of the two forms
     m = args.m_option if args.m is None else args.m
-    # the length comes first, from Wall's theorem and certified before anything
+    # the length comes first, from Wall's bound checked at m before anything
     # is written, so the residues need not be stored: the report scans them
     # afresh each time it is written
     length = pisano_length(m)

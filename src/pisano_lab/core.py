@@ -80,10 +80,7 @@ def fib_mod(n: int, m: int) -> int:
 
 def lucas_mod(n: int, m: int) -> int:
     """L(n) mod m for 2 <= m <= MAX_MODULUS, computed as F(n-1) + F(n+1) reduced mod m."""
-    if type(m) is not int or m < 2 or m > MAX_MODULUS:
-        _require_modulus(m)
-    if type(n) is not int:
-        _require_index(n)
+    _require_index(n)  # before n - 1, which would turn a bool into an int; fib_mod checks m
     return (fib_mod(n - 1, m) + fib_mod(n + 1, m)) % m
 
 
@@ -101,68 +98,55 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
-def _wall_length(m: int) -> tuple[int, set[int]]:
-    """pi(m) by Wall's theorem, with every prime that can divide it.
+def _wall_bound(m: int) -> tuple[int, set[int]]:
+    """A multiple of pi(m) by Wall's theorem, with every prime that can divide it.
 
     pi(m) is the lcm of pi(p**e) over the prime powers of m (Wall 1960).
     For each, Wall's theorem bounds it by a multiple: pi(2) = 3, pi(5) = 20,
     pi(p) divides p - 1 when p = +-1 (mod 5) and 2(p + 1) when p = +-2
-    (mod 5), and pi(p**e) divides p**(e-1) * pi(p). The bound is reduced to
-    the true order by dividing out each of its prime factors while
-    (F(d), F(d+1)) stays (0, 1) mod p**e. The primes of every bound, each p
-    and the primes of its base, hold the primes of the length.
+    (mod 5), and pi(p**e) divides p**(e-1) * pi(p). The bound is the lcm of
+    these multiples; the primes of every multiple, each p and the primes of
+    its base, hold the primes of the bound.
     """
-    length, primes = 1, set()
+    bound, primes = 1, set()
     for p, e in _prime_factors(m).items():
-        power = p**e
         base = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-        order = p ** (e - 1) * base
-        bound_primes = {p, *_prime_factors(base)}
-        for q in bound_primes:
-            while order % q == 0 and _fib_pair(order // q, power) == (0, 1):
-                order //= q
-        length = math.lcm(length, order)
-        primes |= bound_primes
-    return length, primes
+        bound = math.lcm(bound, p ** (e - 1) * base)
+        primes |= {p, *_prime_factors(base)}
+    return bound, primes
 
 
-def _certify_length(m: int, length: int, primes: set[int]) -> None:
-    """Raise RuntimeError unless length is pi(m), the first return of the pair (0, 1).
+def pisano_length(m: int) -> int:
+    """The length pi(m) of the Pisano period modulo m, without scanning it.
 
-    primes must hold every prime factor of length. The pair must come back
-    after length terms and, for no prime q of length, after length / q
-    terms; that proves the length least without Wall's theorem.
+    Wall's bound must be a period of m: (F(L), F(L+1)) = (0, 1) mod m, with
+    every prime of L in the primes of Wall's bound; a bound that is not, a
+    program bug, raises RuntimeError. Each of its primes q is then divided
+    out while the quotient stays a period. Every period is a multiple of
+    the least one, so the result, a period that no prime divides down to
+    another, is pi(m). Refuses a modulus above MAX_MODULUS with
+    InvalidModulusError, as trial division would run too long.
     """
+    _require_modulus(m)
+    length, primes = _wall_bound(m)
     rest = length
     for q in primes:
-        if length % q == 0 and _fib_pair(length // q, m) == (0, 1):
-            raise RuntimeError(f"the period of m={m} closes after {length // q} terms, before {length} terms")
         while rest % q == 0:
             rest //= q
     if rest != 1:
         raise RuntimeError(f"the length {length} for m={m} has a prime factor outside {sorted(primes)}")
     if _fib_pair(length, m) != (0, 1):
         raise RuntimeError(f"the period of m={m} does not close after {length} terms")
-
-
-def pisano_length(m: int) -> int:
-    """The length pi(m) of the Pisano period modulo m, without scanning it.
-
-    The length comes from Wall's theorem and is certified before it is
-    returned: a length that is not the least period of m, a program bug,
-    raises RuntimeError. Refuses a modulus above MAX_MODULUS with
-    InvalidModulusError, as trial division would run too long.
-    """
-    _require_modulus(m)
-    length, primes = _wall_length(m)
-    _certify_length(m, length, primes)
+    for q in primes:
+        while length % q == 0 and _fib_pair(length // q, m) == (0, 1):
+            length //= q
     return length
 
 
 def _period_residues(m: int, length: int) -> Iterator[int]:
     """F(0) .. F(length-1) mod m, one at a time, for length = pisano_length(m).
 
-    pisano_length has certified the length; after the last residue the
+    pisano_length has checked the length at m; after the last residue the
     scan checks that the recurrence closes too, so a length that does not
     close, a program bug, raises RuntimeError.
     """

@@ -69,9 +69,10 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> tuple[t
     Edge j connects circle indices (k + r*j) mod 60 and (k + r*(j+1))
     mod 60. The walk points are one C-level slice, from k in steps of r,
     of the circle indices repeated 60 times, and each edge pairs a point
-    with the next. A step_limit in [1, n] keeps only the first edges, as
-    in the step-by-step construction frames; any other step_limit, or one
-    that is not an int, raises ValueError.
+    with the next; the list between zip and tuple gives the tuple its final
+    length, so it is not grown and shrunk. A step_limit in [1, n] keeps
+    only the first edges, as in the step-by-step construction frames; any
+    other step_limit, or one that is not an int, raises ValueError.
     """
     _require_spec(spec)
     n = _vertex_count(spec.r)
@@ -84,7 +85,7 @@ def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> tuple[t
     count = n if step_limit is None else step_limit
     k, r = spec.k, spec.r
     walk = _CIRCLE_INDICES[k : k + r * (count + 1) : r]
-    return tuple(zip(walk, walk[1:]))
+    return tuple([*zip(walk, walk[1:])])
 
 
 def _edge_lines(edges: tuple[tuple[int, int], ...], points: tuple[tuple[str, str], ...]) -> list[str]:

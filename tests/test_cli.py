@@ -62,12 +62,6 @@ def test_period_rejects_double_or_missing_modulus(capsys):
     assert err.endswith("error: one of the arguments m --m is required\n"), err
 
 
-def test_period_rejects_small_modulus(capsys):
-    code, out, err = run(capsys, "period", "1")
-    assert code == 2 and out == ""
-    assert "modulus" in err
-
-
 def test_period_refuses_a_modulus_above_the_length_cap_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "period", str(2**61 - 1))
@@ -144,9 +138,9 @@ def test_classify_star_polygon_example(capsys):
 # negative-index-reflection, at position 1, which a forked worker runs when two
 # CPUs are usable; the wrong F(-200) mod 30 fails fib-recurrence as well, and
 # both FAIL lines must come in battery order. The two exit-4 rows run
-# `period` with Wall's length doubled (120 for m = 10), which the certificate
-# in pisano_length refuses before anything is printed, below the listing cap
-# and above it
+# `period` with Wall's bound halved (30 for m = 10), which is not a period,
+# so pisano_length refuses it before anything is printed, below the listing
+# cap and above it
 EXIT_CODES = {
     "period": (["period", "10"], 0, "modulus: 10", ""),
     "help": (["--help"], 0, "usage: pisano-lab", ""),
@@ -178,12 +172,13 @@ EXIT_CODES = {
 }
 
 
-def _doubled(wall_length):
-    def doubled(m):
-        length, primes = wall_length(m)
-        return 2 * length, primes
+def _halved(wall_bound):
+    # half of Wall's bound is not a period of 10 or of 2000003
+    def halved(m):
+        bound, primes = wall_bound(m)
+        return bound // 2, primes
 
-    return doubled
+    return halved
 
 
 SEEDED_BUGS = {"verify-with-a-seeded-bug": MUTANTS[0], "verify-with-a-seeded-bug-at-an-odd-position": MUTANTS[2]}
@@ -197,7 +192,7 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, row, argv, code, head, err_pa
         mutant = SEEDED_BUGS[row]
         monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
     if code == 4:
-        monkeypatch.setattr(core, "_wall_length", _doubled(core._wall_length))
+        monkeypatch.setattr(core, "_wall_bound", _halved(core._wall_bound))
     got, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert got == code
     assert out.startswith(head) and bool(out) == bool(head)

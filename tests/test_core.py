@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -112,30 +113,39 @@ def test_pisano_period_reaches_six_m_at_twice_a_power_of_five():
         assert len(pisano_period(2 * 5**k)) == 12 * 5**k, k
 
 
-# 59 and 61 do not close, which the scan's end check finds; 120 closes, but
-# only after its divisor 60 did, which the certificate in pisano_length finds
-@pytest.mark.parametrize("wrong", [59, 61, 120])
+# 59 and 61 do not close, which the scan's end check finds
+@pytest.mark.parametrize("wrong", [59, 61])
 def test_period_scan_refuses_a_length_that_does_not_close(monkeypatch, wrong):
-    if wrong == 120:
-        primes = core._wall_length(10)[1]
-        monkeypatch.setattr(core, "_wall_length", lambda m: (wrong, primes))
-    else:
-        monkeypatch.setattr(core, "pisano_length", lambda m: wrong)
+    monkeypatch.setattr(core, "pisano_length", lambda m: wrong)
     with pytest.raises(RuntimeError, match=f"the period of m=10 .*close.* {wrong} terms"):
         pisano_period(10)
 
 
-# Wall's length for m = 10 off by a factor: half of it does not close, twice
-# it closes first at the true length, and 7 times it has a prime outside the
-# primes of Wall's bounds, which the certificate must cover
+def _bound_for_10(monkeypatch, bound):
+    primes = core._wall_bound(10)[1]
+    monkeypatch.setattr(core, "_wall_bound", lambda m: (bound, primes))
+
+
+def _verdict_for_10():
+    """The refusal for m = 10 as its message, or the period it lists."""
+    try:
+        period = pisano_period(10)
+    except RuntimeError as error:
+        return str(error)
+    assert period == first_return_period(10)
+    return f"closes after {len(period)} terms"
+
+
+# Wall's bound for m = 10 off by a factor: half of it does not close, and 7
+# times it closes but has a prime outside the primes of Wall's bounds, which
+# the reduction would never divide out; both are refused. Twice it closes,
+# but its divisor 60 closed first, so it is reduced to the true length
 @pytest.mark.parametrize(
     "wrong, message", [(30, "does not close after 30 terms"), (120, "closes after 60 terms"), (420, "outside")]
 )
 def test_pisano_length_certifies_the_wall_length(monkeypatch, wrong, message):
-    primes = core._wall_length(10)[1]
-    monkeypatch.setattr(core, "_wall_length", lambda m: (wrong, primes))
-    with pytest.raises(RuntimeError, match=message):
-        pisano_length(10)
+    _bound_for_10(monkeypatch, wrong)
+    assert re.search(message, _verdict_for_10())
 
 
 def test_pisano_length_refuses_a_modulus_above_the_cap_at_once():
