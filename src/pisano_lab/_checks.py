@@ -560,7 +560,7 @@ def check_render_determinism() -> str | None:
     spec = SubsequenceSpec(k=3, r=25)
     if render_svg(spec) != render_svg(spec):
         return "two renders of the same full scene differ"
-    if render_frames(spec) != render_frames(spec):
+    if list(render_frames(spec)) != list(render_frames(spec)):
         return "two frame sequences of the same spec differ"
 
 

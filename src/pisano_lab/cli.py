@@ -12,9 +12,9 @@ with --format json; --out writes the JSON report to a file (for diagram,
 `json.dumps(report, indent=2)` byte for byte, and --out writes those
 bytes plus a newline. The text of `period` and `classify` is rendered
 from the report's fields, one `key: value` line each. Either output is
-written piece by piece, and an int list in either one is formatted by
-the same block formatter; --out is opened before anything is printed,
-so an unwritable path exits 3 with nothing on stdout.
+written piece by piece, and the residues of `period` in either one are
+formatted by the same block formatter; --out is opened before anything
+is printed, so an unwritable path exits 3 with nothing on stdout.
 
 `period` reports `{"length": L, "period": [F(0) mod m, ..., F(L-1) mod m]}`
 as its results (text: `modulus:`, `length:` and `period:` lines). It takes
@@ -53,7 +53,7 @@ from . import _checks
 from .complete import ShiftCertificate, compute_shift
 from .core import MAX_LISTED_MODULUS, _period_residues, pisano_length
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
-from .render import _frames, render_svg
+from .render import render_frames, render_svg
 from .subseq import CIRCLE_POINTS, StarPolygon, SubsequenceSpec, star_polygon, subsequence_period
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
     one generator call per value. Here only containers recurse: the scalars
     of a container are encoded in its loop and joined into one piece until a
-    nested container starts, and an all-int list goes through _int_blocks.
+    nested container starts, and a _Lazy of ints goes through _int_blocks.
     """
     encode = _SCALAR_ENCODERS.get(type(value))
     if encode is not None:
@@ -121,9 +121,8 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
         return
     kind = type(value)
     inner = newline + "  "
-    # an exact type test: %d would print True as 1 and 1.5 as 1; the residues
-    # of a period are ints, at least three, so they are made once, as written
-    if value.ints if kind is _Lazy else kind is list and set(map(type, value)) == {int}:
+    # the residues of a period are ints, at least three, so they are made once, as written
+    if kind is _Lazy and value.ints:
         ints = iter(value)
         yield "[" + inner + "%d" % next(ints)
         yield from _int_blocks(ints, "," + inner)
@@ -313,7 +312,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
             raise FileNotFoundError("an empty --out path names no file")
         base = out.with_suffix("") if out.suffix == ".svg" else out
         files = []
-        for index, document in enumerate(_frames(spec)):
+        for index, document in enumerate(render_frames(spec)):
             path = Path(f"{base}-{index:02d}.svg")
             path.write_bytes(document)
             del document  # before the next frame is made: one document is alive at a time

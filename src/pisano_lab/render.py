@@ -5,8 +5,8 @@ double precision, every coordinate is rounded exactly once to three
 decimals at serialization, and element order is fixed (circle, ticks,
 labels, edges).
 
-The construction frames of a walk share one head and one list of formatted
-edge lines, and `_frames` makes their documents one at a time.
+A scene is the whole closed walk; a step limit or a frame draws a prefix
+of it, and `render_frames` makes the frames one at a time.
 """
 
 from __future__ import annotations
@@ -63,28 +63,18 @@ def circle_layout() -> tuple[str, tuple[tuple[str, str], ...]]:
     return "".join(line + "\n" for line in head), tuple(points)
 
 
-def build_scene(spec: SubsequenceSpec, step_limit: int | None = None) -> tuple[tuple[int, int], ...]:
-    """Enumerate the walk edges for (k, r); all n closing edges by default.
+def build_scene(spec: SubsequenceSpec) -> tuple[tuple[int, int], ...]:
+    """Enumerate the n edges of the closed walk for (k, r).
 
     Edge j connects circle indices (k + r*j) mod 60 and (k + r*(j+1))
     mod 60. The walk points are one C-level slice, from k in steps of r,
     of the circle indices repeated 60 times, and each edge pairs a point
     with the next; the list between zip and tuple gives the tuple its final
-    length, so it is not grown and shrunk. A step_limit in [1, n] keeps
-    only the first edges, as in the step-by-step construction frames; any
-    other step_limit, or one that is not an int, raises ValueError.
+    length, so it is not grown and shrunk.
     """
     _require_spec(spec)
-    n = _vertex_count(spec.r)
-    if step_limit is not None:
-        # an exact type test, so bool (an int subclass) is refused too
-        if type(step_limit) is not int:
-            raise ValueError(f"step_limit must be an int, got {step_limit!r}")
-        if not 1 <= step_limit <= n:
-            raise ValueError(f"step_limit must be in [1, {n}], got {step_limit}")
-    count = n if step_limit is None else step_limit
     k, r = spec.k, spec.r
-    walk = _CIRCLE_INDICES[k : k + r * (count + 1) : r]
+    walk = _CIRCLE_INDICES[k : k + r * (_vertex_count(r) + 1) : r]
     return tuple([*zip(walk, walk[1:])])
 
 
@@ -97,33 +87,32 @@ def _document(head: str, lines: list[str]) -> bytes:
 
 
 def render_svg(spec: SubsequenceSpec, step_limit: int | None = None) -> bytes:
-    """The standalone SVG 1.1 document of `build_scene(spec, step_limit)`,
-    whose ValueError for bad input comes before any layout is formatted."""
-    edges = build_scene(spec, step_limit)
+    """The standalone SVG 1.1 document of the first step_limit edges of
+    `build_scene(spec)`, all n by default. A bad spec, or a step_limit that
+    is not an int in [1, n], raises ValueError before any layout is formatted."""
+    edges = build_scene(spec)
+    if step_limit is not None:
+        # an exact type test, so bool (an int subclass) is refused too
+        if type(step_limit) is not int:
+            raise ValueError(f"step_limit must be an int, got {step_limit!r}")
+        if not 1 <= step_limit <= len(edges):
+            raise ValueError(f"step_limit must be in [1, {len(edges)}], got {step_limit}")
+        edges = edges[:step_limit]
     head, points = circle_layout()
     return _document(head, _edge_lines(edges, points))
 
 
-def _frames(spec: SubsequenceSpec) -> Iterator[bytes]:
-    """The documents of `render_frames(spec)`, made one at a time.
+def render_frames(spec: SubsequenceSpec) -> Iterator[bytes]:
+    """One SVG per construction step, made one at a time; frame s shows the
+    first s + 1 edges, and `list(render_frames(spec))` holds them all.
 
-    Not a generator function: the scene, the layout and the edge lines are
-    built at the call, so a bad spec raises ValueError here, and each step
-    of the returned iterator only joins its frame's document.
+    Frame s equals `render_svg(spec, step_limit=s + 1)`, and the last frame
+    is the complete closed diagram, `render_svg(spec)`. Not a generator
+    function: the scene, the layout and the edge lines are built once, at
+    the call, so a bad spec raises ValueError here, and each step of the
+    returned iterator only joins its frame's document.
     """
     edges = build_scene(spec)  # first, so a bad spec pays for no layout
     head, points = circle_layout()
     lines = _edge_lines(edges, points)
     return (_document(head, lines[: s + 1]) for s in range(len(lines)))
-
-
-def render_frames(spec: SubsequenceSpec) -> list[bytes]:
-    """One SVG per construction step; frame s shows the first s + 1 edges.
-
-    The scene is built and each edge formatted once. Frame s equals
-    `render_svg(spec, step_limit=s + 1)`, and the last frame is the
-    complete closed diagram, `render_svg(spec)`. This is the list of
-    `_frames(spec)`; a caller that writes each frame as it is made iterates
-    `_frames` instead, holding one document at a time.
-    """
-    return list(_frames(spec))

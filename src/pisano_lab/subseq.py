@@ -24,6 +24,10 @@ PARENT_PERIOD = pisano_period(10)
 # 60 copies reach index 59 + 59*59, the last term any (k, r) period reads
 _UNROLLED_PARENT = PARENT_PERIOD * CIRCLE_POINTS
 
+# the most terms is_cyclic_shift compares: at the cap its tokens of two
+# ranges peak near 8 MB; the package compares periods of at most 60 terms
+MAX_CYCLIC_SHIFT_TERMS = 100_000
+
 
 class _Record:
     """Base of the package's frozen records.
@@ -167,9 +171,13 @@ def _tokens(values: Sequence[int]) -> str:
     # hex() reads an int through __index__, so True is 0x1 and matches 1 as it
     # does under ==; unlike str(), it has no length limit for huge ints
     try:
-        return ",".join(map(hex, values)) + ","
+        if len(values) <= MAX_CYCLIC_SHIFT_TERMS:
+            return ",".join(map(hex, values)) + ","
     except TypeError:
         raise ValueError("is_cyclic_shift compares sequences of ints") from None
+    except OverflowError:  # len() of a range longer than sys.maxsize
+        pass
+    raise ValueError(f"is_cyclic_shift compares sequences of at most {MAX_CYCLIC_SHIFT_TERMS} terms")
 
 
 def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -180,7 +188,8 @@ def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
     comma-terminated tokens, so one C-level substring search, linear in
     the length, finds a window that starts on a term boundary; a window
     as long as the tokens of a is a rotation of all of a. Anything but
-    two sequences of ints raises ValueError.
+    two sequences of ints, or a sequence of more than MAX_CYCLIC_SHIFT_TERMS
+    terms, raises ValueError.
     """
     a_tokens, b_tokens = _tokens(a), _tokens(b)
     return len(a_tokens) == len(b_tokens) and "," + b_tokens in "," + a_tokens * 2

@@ -96,7 +96,7 @@ def dropped_edge(edges):
 def frames_one_late(real):
     # state kept between calls: each call starts one frame later than the last
     calls = itertools.count()
-    return lambda spec: real(spec)[next(calls) :]
+    return lambda spec: itertools.islice(real(spec), next(calls), None)
 
 
 def flipped(values):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import pisano_lab
 from pisano_lab import cli, core
-from pisano_lab.cli import _chunks, main
+from pisano_lab.cli import _chunks, _Lazy, main
 from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
-from pisano_lab.render import render_svg
+from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
 
 from mutants import MUTANTS
@@ -344,9 +344,10 @@ def _traced(call):
 
 
 def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
-    value = list(pisano_period(6250))  # 37,500 residues
+    residues = pisano_period(6250)  # 37,500 residues
+    value = _Lazy(lambda: iter(residues), ints=True)
     encoded, peak = _traced(lambda: "".join(_chunks(value)))
-    assert encoded == json.dumps(value, indent=2)
+    assert encoded == json.dumps(list(residues), indent=2)
     # the pieces held by the join and the joined output cost about 2x the output;
     # a format string and a tuple as long as the list cost about 3x, a str per item about 9x
     assert peak < 2.5 * len(encoded)
@@ -471,6 +472,21 @@ def test_diagram_unwritable_path(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_diagram_frames_go_through_render_frames(capsys, monkeypatch, tmp_path):
+    # the draw-frames benchmark traces render.render_frames; --frames must reach it
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return render_frames(spec)
+
+    monkeypatch.setattr(cli, "render_frames", counted)
+    code, _, _ = run(capsys, "diagram", "--k", "3", "--r", "25", "--frames", "--out", str(tmp_path / "s.svg"))
+    assert code == 0
+    assert calls == [SubsequenceSpec(k=3, r=25)]
+    assert len(list(tmp_path.glob("s-*.svg"))) == 12
 
 
 def test_diagram_frames_hold_one_frame(tmp_path):

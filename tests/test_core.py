@@ -219,3 +219,25 @@ def test_fib_mod_and_lucas_mod_refuse_a_modulus_above_the_cap_at_once(n, m):
         with pytest.raises(InvalidModulusError, match="at most"):
             call(n, m)
     assert time.perf_counter() - start < 1
+
+
+# an index of more than LONG_INDEX_BITS bits is reduced mod pisano_length(m):
+# on both sides of that threshold, either sign and either parity, the value is
+# the unreduced fast-doubling one; pi(2) = 3 is odd, pi(10) and pi(p) even
+@pytest.mark.parametrize("m", [2, 10, 999_999_999_959])
+@pytest.mark.parametrize("bits", [core.LONG_INDEX_BITS, core.LONG_INDEX_BITS + 1])
+def test_fib_mod_reduces_a_long_index_exactly(bits, m):
+    for magnitude in (2 ** (bits - 1) + 1, 2**bits - 2):
+        value = core._fib_pair(magnitude, m)[0]
+        assert fib_mod(magnitude, m) == value
+        # F(-n) = (-1)**(n+1) * F(n)
+        assert fib_mod(-magnitude, m) == (value if magnitude & 1 else -value % m)
+
+
+def test_fib_mod_and_lucas_mod_cost_is_bounded_in_n():
+    # an 8-million-bit index took about 7 s before it was reduced mod pi(m)
+    n = 2 ** (8 * 10**6) - 1
+    start = time.perf_counter()
+    assert fib_mod(-n, 999_999_999_959) == fib_mod(-n % pisano_length(999_999_999_959), 999_999_999_959)
+    assert lucas_mod(n, 10) == lucas_mod(n % 60, 10)
+    assert time.perf_counter() - start < 2

@@ -38,8 +38,10 @@ def test_layout_geometry():
 
 @pytest.mark.parametrize("bad_limit", [0, 13, -1, 61, 2.0, True])
 def test_build_scene_rejects_bad_step_limit(bad_limit):
+    # the id is kept from when build_scene took the step limit; render_svg is
+    # now the one place that checks it
     with pytest.raises(ValueError):
-        build_scene(SubsequenceSpec(k=3, r=25), step_limit=bad_limit)
+        render_svg(SubsequenceSpec(k=3, r=25), step_limit=bad_limit)
 
 
 def test_edges_follow_the_walk():
@@ -50,10 +52,6 @@ def test_edges_follow_the_walk():
             n = 60 // math.gcd(r, 60)
             walk = [(k + r * j) % 60 for j in range(n + 1)]
             assert edges == tuple(zip(walk, walk[1:])), spec
-            if k == 59:
-                # the walks that reach furthest: every step limit keeps a prefix
-                for s in range(1, n + 1):
-                    assert build_scene(spec, step_limit=s) == edges[:s], (spec, s)
 
 
 def test_full_scene_has_exactly_n_line_elements():
@@ -64,7 +62,7 @@ def test_full_scene_has_exactly_n_line_elements():
 @pytest.mark.parametrize("k, r, n", [(3, 25, 12), (9, 13, 60)])
 def test_frames_grow_one_edge_at_a_time(k, r, n):
     spec = SubsequenceSpec(k=k, r=r)
-    frames = render_frames(spec)
+    frames = list(render_frames(spec))
     assert len(frames) == n
     for s, frame in enumerate(frames):
         assert len(edge_lines(frame)) == s + 1
@@ -74,7 +72,7 @@ def test_frames_grow_one_edge_at_a_time(k, r, n):
 
 
 def test_frame_count_for_pentagon():
-    assert len(render_frames(SubsequenceSpec(k=0, r=12))) == 5
+    assert len(list(render_frames(SubsequenceSpec(k=0, r=12)))) == 5
 
 
 def test_document_shape():

@@ -11,6 +11,7 @@ from pisano_lab.core import fib_mod
 from pisano_lab.quasi import predict_quasi, verify_quasi
 from pisano_lab.render import build_scene, render_frames, render_svg
 from pisano_lab.subseq import (
+    MAX_CYCLIC_SHIFT_TERMS,
     PARENT_PERIOD,
     DiagramType,
     SubsequenceSpec,
@@ -183,6 +184,21 @@ def test_is_cyclic_shift_is_linear():
     assert not is_cyclic_shift(a, (0,) * (n - 1) + (2,))
     assert is_cyclic_shift(a, (1,) + (0,) * (n - 1))
     assert time.perf_counter() - start < 0.5
+
+
+def test_is_cyclic_shift_refuses_a_sequence_above_the_cap():
+    # the tokens of range(10**9) would take about 10 GB; the length is read first
+    for a, b in ((range(10**9), (1,)), ((1,), range(10**9)), (range(10**30), (1,))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most"):
+            is_cyclic_shift(a, b)
+        assert time.perf_counter() - start < 0.01
+    cap = MAX_CYCLIC_SHIFT_TERMS
+    assert cap >= 20_000  # the size test_is_cyclic_shift_is_linear uses
+    assert is_cyclic_shift(range(cap), range(1, cap + 1)) is False
+    assert is_cyclic_shift(range(cap), [*range(1, cap), 0]) is True
+    with pytest.raises(ValueError, match="at most"):
+        is_cyclic_shift(range(cap + 1), range(cap + 1))
 
 
 def test_is_cyclic_shift_rejects_non_int_terms():
