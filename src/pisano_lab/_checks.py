@@ -21,37 +21,21 @@ C-level slice. Across checks one thing is shared: `fib-recurrence` and
 [2, 30] and n in [-200, 200], built by `_fib_table` from the `fib_mod`
 bound in this module at that moment. The table is keyed on that function
 object, so a seeded bug patched in for one test, a new object, never
-reads a table built from another. `run_all` builds it before it forks
-and drops it when the run ends; a check called on its own builds one
+reads a table built from another. `fib-recurrence` builds it and
+`negative-index-reflection`, the check after it, reads it; `run_all`
+drops it when the run ends, and a check called on its own builds one
 unless the last table built came from the same function. Nothing else
 is shared, as the rest is cheap to rebuild: one `verify` run builds 8,760
 subsequence periods for 3,540 distinct specs, and four checks (one of
 them through the shift oracle) each rebuild the 960 unit-jump periods.
-
-`run_all` runs the battery on two CPUs when it can: if fork exists, two or
-more CPUs are usable (os.sched_getaffinity) and the process has one
-thread, it forks one worker that runs the odd positions of `ALL_CHECKS`
-and sends each result back over one pipe as a marshal record, while this
-process runs the even positions. The worker is a copy of this process,
-so a seeded bug patched in before the fork runs in both halves, and the
-worker reads the table this process built. It leaves only through
-os._exit: a normal exit would run the atexit handlers, the test runner's
-teardown or the flush of the stdout buffer it inherited, a second time.
-A check that raises in the worker, or a worker that dies, makes
-`run_all` raise one RuntimeError naming the check; when this process
-raises, it kills the worker first, and it reaps it on every path.
-Otherwise, or when fork fails, the whole battery runs in this process,
-in the same order.
 """
 
 from __future__ import annotations
 
 import functools
-import marshal
+import itertools
 import math
-import os
 from collections.abc import Callable, Iterator
-from typing import NoReturn
 
 from .complete import OracleFailureError, brute_force_shift, compute_shift, first_zero_index, unit_group
 from .core import antipodal_sum, fib_mod, lucas_mod, pisano_period
@@ -560,97 +544,14 @@ def check_render_determinism() -> str | None:
     spec = SubsequenceSpec(k=3, r=25)
     if render_svg(spec) != render_svg(spec):
         return "two renders of the same full scene differ"
-    if list(render_frames(spec)) != list(render_frames(spec)):
+    # frame by frame, padded with None so that a different count also differs
+    if any(a != b for a, b in itertools.zip_longest(render_frames(spec), render_frames(spec))):
         return "two frame sequences of the same spec differ"
 
 
-def _two_cpus_one_thread() -> bool:
-    """True when a forked worker may run beside this process: fork exists,
-    two or more CPUs are usable, and no second thread runs."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(os.sched_getaffinity(0)) < 2:
-        return False
-    import threading  # loaded only by a run that may fork
-
-    return threading.active_count() == 1
-
-
-def _work(checks: tuple[Callable[[], CheckResult], ...], fd: int) -> NoReturn:
-    """The forked worker: run checks, send each result down fd as one marshal
-    record, and leave through os._exit (see the module docstring).
-
-    A check that raises sends (name, None, repr of the exception) and
-    ends the work.
-    """
-    try:
-        for check in checks:
-            try:
-                result = check()
-            except BaseException as exc:  # the parent raises it, naming the check
-                record = (check.__name__, None, repr(exc))
-            else:
-                record = (result.name, result.passed, result.detail)
-            data = memoryview(marshal.dumps(record))
-            while data:
-                data = data[os.write(fd, data) :]
-            if record[1] is None:
-                break
-    finally:
-        os._exit(0)
-
-
-def _run_beside(checks: tuple[Callable[[], CheckResult], ...], pid: int, fd: int) -> list[CheckResult]:
-    """Run the even positions of checks while worker pid runs the odd ones
-    and sends their records down pipe fd; merge both in the order of checks.
-
-    The worker is reaped on every path, and killed first when this
-    process raises.
-    """
-    try:
-        with open(fd, "rb") as pipe:
-            here = [check() for check in checks[::2]]
-            records = []
-            while True:
-                try:
-                    records.append(marshal.load(pipe))
-                except EOFError:  # the worker has exited
-                    break
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    for name, passed, detail in records:
-        if passed is None:
-            raise RuntimeError(f"{name} raised in the verify worker: {detail}")
-    there = checks[1::2]
-    if len(records) < len(there):
-        code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"the verify worker exited with code {code} in {there[len(records)].__name__}")
-    results: list = [None] * len(checks)
-    results[::2], results[1::2] = here, [CheckResult(*record) for record in records]
-    return results
-
-
 def run_all() -> list[CheckResult]:
-    """Run every check, in two processes when it can; the results come in ALL_CHECKS order."""
-    checks = ALL_CHECKS
+    """Run every check in this process; the results come in ALL_CHECKS order."""
     try:
-        _fib_table(fib_mod)  # before the fork, as both halves read it
-        if _two_cpus_one_thread():
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-            else:
-                if pid == 0:
-                    os.close(read_fd)
-                    _work(checks[1::2], write_fd)
-                os.close(write_fd)
-                return _run_beside(checks, pid, read_fd)
-        return [check() for check in checks]
+        return [check() for check in ALL_CHECKS]
     finally:
         _fib_table.cache_clear()

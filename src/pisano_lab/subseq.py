@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from typing import Sequence
 
 from .core import _require_index, pisano_period
@@ -167,12 +168,18 @@ def dodecagon_tuple(k: int) -> tuple[int, ...]:
     return _fixed_jump_period(k, 5)
 
 
-def _tokens(values: Sequence[int]) -> str:
-    # hex() reads an int through __index__, so True is 0x1 and matches 1 as it
-    # does under ==; unlike str(), it has no length limit for huge ints
+def _tokens(values: Sequence[int], ids: dict[int, int]) -> str:
+    # an int of at most 64 bits is written as its hex; a longer one as "L" and
+    # its id in ids, which both sequences share, so it costs one dict entry,
+    # not a copy of its digits per term. operator.index reads True as 1,
+    # which it equals, and refuses a float
     try:
         if len(values) <= MAX_CYCLIC_SHIFT_TERMS:
-            return ",".join(map(hex, values)) + ","
+            tokens = (
+                hex(value) if value.bit_length() <= 64 else f"L{ids.setdefault(value, len(ids))}"
+                for value in map(operator.index, values)
+            )
+            return ",".join(tokens) + ","
     except TypeError:
         raise ValueError("is_cyclic_shift compares sequences of ints") from None
     except OverflowError:  # len() of a range longer than sys.maxsize
@@ -185,11 +192,12 @@ def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
 
     Uses the doubling trick: b is a rotation of a exactly when it occurs
     as a window of a concatenated with itself. Both are written as
-    comma-terminated tokens, so one C-level substring search, linear in
-    the length, finds a window that starts on a term boundary; a window
-    as long as the tokens of a is a rotation of all of a. Anything but
-    two sequences of ints, or a sequence of more than MAX_CYCLIC_SHIFT_TERMS
-    terms, raises ValueError.
+    comma-terminated tokens, at most 19 characters each, so one
+    C-level substring search, linear in the number of terms, finds a
+    window that starts on a term boundary; a window as long as the tokens
+    of a is a rotation of all of a. Anything but two sequences of ints, or
+    a sequence of more than MAX_CYCLIC_SHIFT_TERMS terms, raises ValueError.
     """
-    a_tokens, b_tokens = _tokens(a), _tokens(b)
+    ids: dict[int, int] = {}
+    a_tokens, b_tokens = _tokens(a, ids), _tokens(b, ids)
     return len(a_tokens) == len(b_tokens) and "," + b_tokens in "," + a_tokens * 2

@@ -3,13 +3,11 @@
 The exhaustive property sweeps live only in `pisano_lab._checks`. Each
 check gets one test id that reads its entry from the session's single
 `verify` run, and at least one seeded bug from `mutants.py` that it must
-catch. The last tests run the battery's forked worker, which takes the odd
-positions of `ALL_CHECKS` when two CPUs are usable.
+catch. The last tests run the whole battery in this process, as `verify`
+does, and show how a check that raises ends the command.
 """
 
 import os
-import signal
-import time
 
 import pytest
 
@@ -60,7 +58,6 @@ def test_one_fib_mod_table_serves_a_run(monkeypatch):
 
     monkeypatch.setattr(_checks, "fib_mod", counted)
     monkeypatch.setattr(_checks, "ALL_CHECKS", (_checks.check_fib_recurrence, _checks.check_negative_reflection))
-    monkeypatch.setattr(_checks, "_two_cpus_one_thread", lambda: False)
     assert all(result.passed for result in _checks.run_all())
     assert calls == 29 * 401
     assert _checks._fib_table.cache_info().currsize == 0  # dropped when the run ends
@@ -76,104 +73,25 @@ def test_rotation_check_compares_undirected_edges(monkeypatch):
     assert _checks.check_rotation_equivalence().passed
 
 
-TEST_PID = os.getpid()
-
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-    reason="the battery forks a worker only when two CPUs are usable",
-)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made during the test, one entry each."""
-    calls = []
-    real_fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_two_cpus
-def test_run_all_on_one_cpu_equals_the_forked_run(forks):
-    forked = _checks.run_all()
-    assert len(forks) == 1
-    assert_no_child_left()
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        pinned = _checks.run_all()
-    finally:
-        os.sched_setaffinity(0, cpus)
-    assert len(forks) == 1  # one CPU: the whole battery ran in this process
-    assert pinned == forked
-
-
-@needs_two_cpus
-def test_run_all_runs_here_when_no_process_can_be_forked(monkeypatch):
+def test_run_all_runs_every_check_without_forking(monkeypatch, verify_run):
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    battery = (_checks.check_antipodal_sums, _checks.check_twenty_vertex_steps)
-    monkeypatch.setattr(_checks, "ALL_CHECKS", battery)
     monkeypatch.setattr(os, "fork", no_fork)
-    open_fds = len(os.listdir("/proc/self/fd"))
-    assert _checks.run_all() == [check() for check in battery]
-    assert len(os.listdir("/proc/self/fd")) == open_fds  # the pipe was closed
+    results = _checks.run_all()
+    assert len(results) == len(CHECKS) == 32
+    # in ALL_CHECKS order, as the report of the session's verify run lists them
+    assert [result.__dict__ for result in results] == verify_run.report["results"]["checks"]
 
 
 def check_that_raises():
     raise ZeroDivisionError("seeded")
 
 
-def check_that_dies_in_a_worker():
-    if os.getpid() != TEST_PID:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _checks.CheckResult("dies-in-a-worker", True, "")
-
-
-def check_that_sleeps_in_a_worker():
-    if os.getpid() != TEST_PID:
-        time.sleep(30)
-    return _checks.CheckResult("sleeps-in-a-worker", True, "")
-
-
-# a broken check at an odd position runs in the worker, one at position 0 in
-# this process, beside a worker that would sleep for 30 s unless it is killed
-@needs_two_cpus
-@pytest.mark.parametrize(
-    "battery, message",
-    [
-        (
-            (_checks.check_antipodal_sums, check_that_raises),
-            "check_that_raises raised in the verify worker: ZeroDivisionError('seeded')",
-        ),
-        (
-            (_checks.check_antipodal_sums, check_that_dies_in_a_worker),
-            "the verify worker exited with code -9 in check_that_dies_in_a_worker",
-        ),
-        ((check_that_raises, check_that_sleeps_in_a_worker), "ZeroDivisionError('seeded')"),
-    ],
-    ids=["raises-in-the-worker", "dies-in-the-worker", "raises-beside-the-worker"],
-)
-def test_a_broken_check_exits_4_and_leaves_no_child(capsys, monkeypatch, forks, battery, message):
-    monkeypatch.setattr(_checks, "ALL_CHECKS", battery)
-    start = time.perf_counter()
+def test_a_check_that_raises_exits_4_with_nothing_on_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(_checks, "ALL_CHECKS", (check_that_raises, _checks.check_antipodal_sums))
     code = main(["verify"])
-    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert err.startswith("error: internal error: ") and err.count("\n") == 1, err
-    assert message in err, err
-    assert len(forks) == 1
-    assert elapsed < 10
-    assert_no_child_left()
+    assert "ZeroDivisionError('seeded')" in err, err

@@ -135,12 +135,11 @@ def test_classify_star_polygon_example(capsys):
 # "{tmp}" stands for a fresh directory. The two `verify` rows run with a
 # seeded bug of tests/mutants.py patched in (SEEDED_BUGS). The first fails
 # fib-recurrence, at position 0 of the battery. The second is the bug for
-# negative-index-reflection, at position 1, which a forked worker runs when two
-# CPUs are usable; the wrong F(-200) mod 30 fails fib-recurrence as well, and
-# both FAIL lines must come in battery order. The two exit-4 rows run
-# `period` with Wall's bound halved (30 for m = 10), which is not a period,
-# so pisano_length refuses it before anything is printed, below the listing
-# cap and above it
+# negative-index-reflection, at position 1; the wrong F(-200) mod 30 fails
+# fib-recurrence as well, and both FAIL lines must come in battery order.
+# The two exit-4 rows run `period` with Wall's bound halved (30 for m = 10),
+# which is not a period, so pisano_length refuses it before anything is
+# printed, below the listing cap and above it
 EXIT_CODES = {
     "period": (["period", "10"], 0, "modulus: 10", ""),
     "help": (["--help"], 0, "usage: pisano-lab", ""),

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -199,6 +200,26 @@ def test_is_cyclic_shift_refuses_a_sequence_above_the_cap():
     assert is_cyclic_shift(range(cap), [*range(1, cap), 0]) is True
     with pytest.raises(ValueError, match="at most"):
         is_cyclic_shift(range(cap + 1), range(cap + 1))
+
+
+def test_is_cyclic_shift_writes_a_long_int_as_a_short_token():
+    # 200 references to one 10**6-bit int once peaked at 350 MB: its hex
+    # digits were copied into the tokens once per term
+    big = 2**10**6
+    values = [big] * 200
+    tracemalloc.start()
+    try:
+        assert is_cyclic_shift(values, list(values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert not is_cyclic_shift([big], [big + 1])
+    assert is_cyclic_shift([big, big + 1], [big + 1, big])
+    assert not is_cyclic_shift([big, big + 1], [big, big])
+    # on either side of the 64-bit line between hex tokens and ids
+    assert is_cyclic_shift([2**64 - 1, 2**64, -(2**64)], [-(2**64), 2**64 - 1, 2**64])
+    assert not is_cyclic_shift([2**64 - 1, 2**64], [2**64, 2**64])
 
 
 def test_is_cyclic_shift_rejects_non_int_terms():
