@@ -13,8 +13,10 @@ with --format json; --out writes the JSON report to a file (for diagram,
 bytes plus a newline. The text of `period` and `classify` is rendered
 from the report's fields, one `key: value` line each. Either output is
 written piece by piece, and the residues of `period` in either one are
-formatted by the same block formatter; --out is opened before anything
-is printed, so an unwritable path exits 3 with nothing on stdout.
+formatted by the same block formatter; a list too long to hold (the
+residues, the rows of `sweep`) writes its own JSON pieces. --out is opened
+before anything is printed, so an unwritable path exits 3 with nothing on
+stdout.
 
 `period` reports `{"length": L, "period": [F(0) mod m, ..., F(L-1) mod m]}`
 as its results (text: `modulus:`, `length:` and `period:` lines). It takes
@@ -30,7 +32,11 @@ is not exits 4 with nothing on stdout.
 k-major (text: one `k=... r=...` line per row). Like the residues of
 `period`, the rows are made as they are written, so no list of them is
 held: JSON mode classifies each (k, r) once, and text mode with --out
-classifies it twice, once for each output.
+classifies it twice, once for each output. The polygon and the prediction
+do not read k, so they are made once per jump; each row is then a tuple
+whose strings are already spelled for its output (JSON-escaped, or as
+text), written by one `%` of a fixed template: the JSON object at its
+indent, or the text line.
 
 `diagram` reports the SVG files it wrote (text: one `wrote PATH` line
 each). With --frames it writes each construction frame as it is made, so,
@@ -50,11 +56,11 @@ from typing import Callable, Iterable, Iterator
 
 # imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
-from .complete import ShiftCertificate, compute_shift
+from .complete import ShiftDirection, compute_shift
 from .core import MAX_LISTED_MODULUS, _period_residues, pisano_length
 from .quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from .render import render_frames, render_svg
-from .subseq import CIRCLE_POINTS, StarPolygon, SubsequenceSpec, star_polygon, subsequence_period
+from .subseq import CIRCLE_POINTS, DiagramType, SubsequenceSpec, star_polygon, subsequence_period
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -78,6 +84,9 @@ _TEXT_SCALARS: dict[type, Callable[[object], str]] = {
     type(None): {None: "none"}.__getitem__,
 }
 
+# the end marker of a _Lazy's items: None cannot be one, as a list may hold it
+_NO_ITEM = object()
+
 # ints per `%` format of an int list: the template and the tuple for one
 # block stay near 40 KB and 32 KB, whatever the length of the list
 _INT_BLOCK = 4096
@@ -85,12 +94,14 @@ _INT_BLOCK = 4096
 
 class _Lazy:
     """A list in a report whose items are made afresh by each iteration: the
-    residues of a period (`ints`) or the rows of a sweep. So a report walked
-    twice (the text view, then the JSON report for --out) makes its items
-    twice and holds no list of them."""
+    residues of a period or the rows of a sweep. So a report walked twice
+    (the text view, then the JSON report for --out) makes its items twice
+    and holds no list of them. `pieces(items, lead)` writes items of the
+    list as JSON, each after `lead`: _int_blocks for the residues, and
+    _json_rows for the rows."""
 
-    def __init__(self, items: Callable[[], Iterator], ints: bool = False) -> None:
-        self.items, self.ints = items, ints
+    def __init__(self, items: Callable[[], Iterator], pieces: Callable[[Iterable, str], Iterator[str]]) -> None:
+        self.items, self.pieces = items, pieces
 
     def __iter__(self) -> Iterator:
         return self.items()
@@ -113,7 +124,7 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
     The stdlib takes its pure-Python encoder whenever `indent` is set, with
     one generator call per value. Here only containers recurse: the scalars
     of a container are encoded in its loop and joined into one piece until a
-    nested container starts, and a _Lazy of ints goes through _int_blocks.
+    nested container starts, and a _Lazy writes its own items.
     """
     encode = _SCALAR_ENCODERS.get(type(value))
     if encode is not None:
@@ -121,14 +132,19 @@ def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
         return
     kind = type(value)
     inner = newline + "  "
-    # the residues of a period are ints, at least three, so they are made once, as written
-    if kind is _Lazy and value.ints:
-        ints = iter(value)
-        yield "[" + inner + "%d" % next(ints)
-        yield from _int_blocks(ints, "," + inner)
+    if kind is _Lazy:
+        items = iter(value)
+        first = next(items, _NO_ITEM)
+        if first is _NO_ITEM:
+            yield "[]"
+            return
+        yield "["
+        # only the first item comes after no comma
+        yield from value.pieces((first,), inner)
+        yield from value.pieces(items, "," + inner)
         yield newline + "]"
         return
-    if kind is not dict and kind is not list and kind is not _Lazy:
+    if kind is not dict and kind is not list:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         yield "{}" if kind is dict else "[]"
@@ -210,26 +226,17 @@ def cmd_period(args: argparse.Namespace) -> int:
     length = pisano_length(m)
     results: dict = {"length": length}
     if m <= MAX_LISTED_MODULUS:
-        results["period"] = _Lazy(lambda: _period_residues(m, length), ints=True)
+        results["period"] = _Lazy(lambda: _period_residues(m, length), _int_blocks)
     report = {"command": "period", "inputs": {"m": m}, "results": results}
     _emit(report, lambda: _text_lines({"modulus": m, **results}), args.format, args.out)
     return EXIT_OK
 
 
-def _classify(
-    spec: SubsequenceSpec,
-) -> tuple[StarPolygon, QuasiClass, QuasiPrediction, ShiftCertificate | None]:
-    """The classification of one subsequence: its polygon, its observed and
-    predicted recurrence class, and, for a jump coprime to 60 only (the
-    diagrams that visit all 60 points), its shift certificate."""
-    poly = star_polygon(spec)
-    cert = compute_shift(spec) if poly.n == CIRCLE_POINTS else None
-    return poly, verify_quasi(spec), predict_quasi(spec), cert
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = SubsequenceSpec(k=args.k, r=args.r)
-    poly, observed, predicted, cert = _classify(spec)
+    poly = star_polygon(spec)
+    # only a jump coprime to 60 (a diagram that visits all 60 points) has a shift
+    cert = compute_shift(spec) if poly.n == CIRCLE_POINTS else None
     inputs = {"k": spec.k, "r": spec.r}
     results = {
         "n": poly.n,
@@ -237,8 +244,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "type": poly.diagram_type.value,
         "convex": poly.convex,
         "terms": list(subsequence_period(spec)),
-        "quasi": observed.value,
-        "prediction": predicted.value,
+        "quasi": verify_quasi(spec).value,
+        "prediction": predict_quasi(spec).value,
         # every field in declaration order, the direction by its value
         "certificate": {**vars(cert), "direction": cert.direction.value} if cert else None,
     }
@@ -247,39 +254,69 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_line(row: dict) -> str:
-    shift_text = "-" if row["direction"] is None else f"{row['direction']}:{row['shift']}"
-    return (
-        f"k={row['k']} r={row['r']} n={row['n']} q={row['q']} type={row['type']} "
-        f"quasi={row['quasi']} prediction={row['prediction']} shift={shift_text}\n"
-    )
+# the fields of a sweep row, in report order
+_SWEEP_KEYS = ("k", "r", "n", "q", "type", "quasi", "prediction", "direction", "shift")
+
+# the text line of a sweep row, whose shift reads `direction:shift`, or `-`
+# for a jump not coprime to 60
+_SWEEP_LINE = "k=%d r=%d n=%d q=%d type=%s quasi=%s prediction=%s shift=%s\n"
 
 
-def _sweep_rows() -> Iterator[dict]:
-    """One row per (k, r), k-major, classified as it is made."""
+def _sweep_rows(
+    spell: Callable[[str], str], shift: Callable[[str, int], tuple], no_shift: tuple
+) -> Iterator[tuple]:
+    """One row per (k, r), k-major, classified as it is made: the tuple of
+    k, r, n, q, type, quasi and prediction, then `shift(direction, shift)`
+    from the certificate of a jump coprime to 60, or `no_shift` for any other
+    jump. Each str is spelled by `spell`, once per distinct value.
+
+    Neither the polygon nor the prediction reads k, so both are made once per
+    jump, before the k loop; the recurrence class and the certificate are
+    made per row.
+    """
+    spelled = {
+        member: spell(member.value)
+        for kind in (DiagramType, QuasiClass, QuasiPrediction, ShiftDirection)
+        for member in kind
+    }
+    jumps = []
+    for r in range(1, CIRCLE_POINTS):
+        spec = SubsequenceSpec(k=0, r=r)
+        poly = star_polygon(spec)
+        prediction = spelled[predict_quasi(spec)]
+        jumps.append((r, poly.n, poly.q, spelled[poly.diagram_type], prediction, poly.n == CIRCLE_POINTS))
     for k in range(CIRCLE_POINTS):
-        for r in range(1, CIRCLE_POINTS):
-            poly, observed, predicted, cert = _classify(SubsequenceSpec(k=k, r=r))
-            yield {
-                "k": k,
-                "r": r,
-                "n": poly.n,
-                "q": poly.q,
-                "type": poly.diagram_type.value,
-                "quasi": observed.value,
-                "prediction": predicted.value,
-                "direction": cert.direction.value if cert else None,
-                "shift": cert.shift if cert else None,
-            }
+        for r, n, q, diagram_type, prediction, unit in jumps:
+            spec = SubsequenceSpec(k=k, r=r)
+            if unit:
+                cert = compute_shift(spec)
+                tail = shift(spelled[cert.direction], cert.shift)
+            else:
+                tail = no_shift
+            yield (k, r, n, q, diagram_type, spelled[verify_quasi(spec)], prediction, *tail)
+
+
+def _json_rows(rows: Iterable[tuple], lead: str) -> Iterator[str]:
+    """Each sweep row, whose str and None fields are spelled as JSON already,
+    as a JSON object after `lead`, by one `%` of a template that holds the
+    keys at the indent `lead` sets."""
+    newline = lead.lstrip(",")
+    fields = ",".join(f"{newline}  {encode_basestring_ascii(key)}: %s" for key in _SWEEP_KEYS)
+    return map(f"{lead}{{{fields}{newline}}}".__mod__, rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # the rows are classified as they are written, once per output, so no
     # list of them is held
-    rows = _Lazy(_sweep_rows)
+    rows = _Lazy(lambda: _sweep_rows(encode_basestring_ascii, lambda *tail: tail, ("null", "null")), _json_rows)
     results = {"row_count": CIRCLE_POINTS * (CIRCLE_POINTS - 1), "rows": rows}
     report = {"command": "sweep", "inputs": {}, "results": results}
-    _emit(report, lambda: map(_sweep_line, rows), args.format, args.out)
+
+    def text() -> Iterator[str]:
+        lines = _sweep_rows(str, lambda direction, shift: (f"{direction}:{shift}",), ("-",))
+        return map(_SWEEP_LINE.__mod__, lines)
+
+    _emit(report, text, args.format, args.out)
     return EXIT_OK
 
 

@@ -104,6 +104,17 @@ def first_return_period(m: int) -> tuple[int, ...]:
     raise RuntimeError("period scan exceeded the bound of 6m terms")
 
 
+def slow_quasi_class(terms) -> str:
+    """Which recurrences the cyclic sequence `terms` obeys mod 10, as a
+    QuasiClass value: forward when t[j+1] = t[j-1] + t[j] at every j, reverse
+    when t[j-1] = t[j] + t[j+1] at every j, indices mod n, checked term by
+    term."""
+    n = len(terms)
+    forward = all((terms[j - 1] + terms[j]) % 10 == terms[(j + 1) % n] for j in range(n))
+    reverse = all((terms[j] + terms[(j + 1) % n]) % 10 == terms[j - 1] for j in range(n))
+    return {(True, True): "both", (True, False): "forward", (False, True): "reverse"}.get((forward, reverse), "neither")
+
+
 def slow_cyclic_shift(a, b) -> bool:
     """True when b is a rotation of a, by comparing b with every window of a + a."""
     if len(a) != len(b):

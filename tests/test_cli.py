@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import pisano_lab
 from pisano_lab import cli, core
-from pisano_lab.cli import _chunks, _Lazy, main
+from pisano_lab.cli import _chunks, _int_blocks, _json_rows, _Lazy, main
 from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
 from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
@@ -333,6 +333,30 @@ def test_dumps_matches_stdlib_indent_2(value):
     assert "".join(_chunks(value)) == json.dumps(value, indent=2)
 
 
+# a sweep row as _json_rows takes it, its str and None fields spelled as JSON, and as json.dumps takes it
+_SPELLED_ROW = (3, 7, 12, 5, '"Type2"', '"neither"', '"no_guarantee"', "null", "null")
+_ROW = dict(zip(cli._SWEEP_KEYS, (3, 7, 12, 5, "Type2", "neither", "no_guarantee", None, None)))
+
+
+@pytest.mark.parametrize(
+    "items, plain, pieces",
+    [
+        ((), [], _int_blocks),
+        ((), [], _json_rows),
+        ((7,), [7], _int_blocks),
+        ((-2, 0, 2**70), [-2, 0, 2**70], _int_blocks),
+        ((_SPELLED_ROW,), [_ROW], _json_rows),
+        ((_SPELLED_ROW, _SPELLED_ROW), [_ROW, _ROW], _json_rows),
+    ],
+    ids=["empty-ints", "empty-rows", "one-int", "ints", "one-row", "rows"],
+)
+def test_dumps_encodes_a_lazy_list_as_stdlib_does(items, plain, pieces):
+    lazy = _Lazy(lambda: iter(items), pieces)
+    # alone, as a dict value and in a list: three indents
+    for value, expected in ((lazy, plain), ({"a": lazy, "b": [lazy]}, {"a": plain, "b": [plain]})):
+        assert "".join(_chunks(value)) == json.dumps(expected, indent=2)
+
+
 def _traced(call):
     """The result of call() and the tracemalloc peak of making it."""
     tracemalloc.start()
@@ -344,7 +368,7 @@ def _traced(call):
 
 def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
     residues = pisano_period(6250)  # 37,500 residues
-    value = _Lazy(lambda: iter(residues), ints=True)
+    value = _Lazy(lambda: iter(residues), _int_blocks)
     encoded, peak = _traced(lambda: "".join(_chunks(value)))
     assert encoded == json.dumps(list(residues), indent=2)
     # the pieces held by the join and the joined output cost about 2x the output;

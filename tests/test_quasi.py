@@ -1,7 +1,15 @@
-import pytest
+from collections import Counter
+from math import gcd
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pisano_lab import quasi
 from pisano_lab.quasi import QuasiClass, QuasiPrediction, predict_quasi, verify_quasi
 from pisano_lab.subseq import SubsequenceSpec, subsequence_period
+
+from oracles import PARENT_PERIOD_10, slow_quasi_class
 
 
 @pytest.mark.parametrize(
@@ -64,3 +72,24 @@ def test_verified_class_is_cyclic_shift_invariant():
         rotated = SubsequenceSpec(k=(3 + 25 * shift) % 60, r=25)
         assert subsequence_period(rotated) == base[shift:] + base[:shift]
         assert verify_quasi(rotated) is expected
+
+
+def test_verified_class_matches_the_term_by_term_oracle_on_every_spec():
+    # the periods come from the frozen parent table, not from subsequence_period;
+    # they include n = 2 (r = 30) and constant periods such as (0, 0) and (5, 5, 5, 5)
+    seen = Counter()
+    for k in range(60):
+        for r in range(1, 60):
+            terms = [PARENT_PERIOD_10[(k + r * j) % 60] for j in range(60 // gcd(r, 60))]
+            expected = slow_quasi_class(terms)
+            assert verify_quasi(SubsequenceSpec(k=k, r=r)).value == expected, (k, r)
+            seen[expected] += 1
+    assert seen == {"neither": 2088, "forward": 672, "reverse": 672, "both": 108}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=60))
+def test_verified_class_matches_the_oracle_on_any_digit_cycle(terms):
+    # cycles of any length and content, not only the 3,540 subsequence periods
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasi, "subsequence_period", lambda spec: tuple(terms))
+        assert verify_quasi(SubsequenceSpec(k=0, r=1)).value == slow_quasi_class(terms)

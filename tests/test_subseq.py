@@ -71,6 +71,15 @@ def test_entry_points_refuse_a_non_spec(entry, fake):
         entry(fake)
 
 
+def test_polygon_and_prediction_do_not_read_k():
+    # `sweep` makes both once per jump and uses them for all 60 start indices
+    for r in range(1, 60):
+        at_zero = star_polygon(SubsequenceSpec(k=0, r=r)), predict_quasi(SubsequenceSpec(k=0, r=r))
+        for k in range(1, 60):
+            spec = SubsequenceSpec(k=k, r=r)
+            assert (star_polygon(spec), predict_quasi(spec)) == at_zero, (k, r)
+
+
 @pytest.mark.parametrize(
     "k, r, n, q, diagram_type, convex",
     [
