@@ -2,10 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 I/O failure, 4 internal error (an exception no other code covers, a
-program bug, reported on one `error: internal error:` line). The parser
-holds the argument rules (`period` takes its modulus once, positionally or
-via --m; `diagram` requires --out and takes --frames or --steps, not both)
-and exits 2 with its usage and error lines on stderr; a value the library refuses exits 2 with one `error:` line.
+program bug, reported on one `error: internal error:` line). A process
+ends through `run`: it flushes stdout and stderr after `main` returns and
+then calls `os._exit`, so interpreter teardown and `atexit` handlers do
+not run (the package registers none); a broken pipe or an I/O error at
+that final flush exits 3, the broken pipe with nothing on stderr.
+
+The parser holds the argument rules (`period` takes its modulus once,
+positionally or via --m; `diagram` requires --out and takes --frames or
+--steps, not both) and exits 2 with its usage and error lines on stderr; a value the library refuses exits 2 with one `error:` line.
 Every command prints plain text by default and the same content as JSON
 with --format json; --out writes the JSON report to a file (for diagram,
 --out is the SVG target instead). A JSON report is
@@ -48,11 +53,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext, suppress
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 # imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
@@ -445,5 +450,31 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def run() -> None:
+    """The process entry: exit with the code of `main`, once stdout and
+    stderr are flushed, by `os._exit`, which skips the interpreter's module
+    teardown and exit-time collections, as no output depends on them.
+
+    The flush keeps `main`'s I/O rules: a broken pipe exits 3 with nothing
+    on stderr, any other OSError exits 3 with one `error:` line, and a
+    stream that is None (closed before the start) is skipped."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = EXIT_IO_FAILURE
+        except OSError as exc:
+            code = EXIT_IO_FAILURE
+            if stream is sys.stdout and sys.stderr is not None:
+                # stderr is flushed next, in this loop; if it fails too, the
+                # line is lost, but the process still ends here
+                with suppress(OSError):
+                    sys.stderr.write(f"error: {exc}\n")
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,7 +7,7 @@ residues, so no intermediate ever grows beyond the modulus.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class InvalidModulusError(ValueError):

@@ -12,7 +12,7 @@ of it, and `render_frames` makes the frames one at a time.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, _vertex_count
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import _require_index, pisano_period
 

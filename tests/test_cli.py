@@ -216,6 +216,70 @@ def test_sweep_into_a_closed_pipe_exits_3_quietly():
     assert (child.returncode, err) == (3, b"")
 
 
+# `cli.run` ends the process with os._exit, so the exit path is only ever
+# tested in a child: `python -m pisano_lab.cli`, the package from this checkout,
+# with stdout buffered as it is by default, so a lost final flush shows
+def _child_env() -> dict[str, str]:
+    root = str(Path(pisano_lab.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": root}
+
+
+def _spawn(*argv: str, shell_redirect: str = "") -> subprocess.CompletedProcess:
+    command = [sys.executable, "-m", "pisano_lab.cli", *argv]
+    if shell_redirect:
+        command = ["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *command]
+    return subprocess.run(command, capture_output=True, env=_child_env(), timeout=60)
+
+
+@pytest.mark.parametrize("argv", [("period", "10", "--format", "json"), ("sweep", "--format", "json")])
+def test_a_child_flushes_all_of_stdout_before_it_exits(run_cli, argv):
+    # the sweep is about 800 KB, so its last partial buffer is still unwritten
+    # when main returns
+    child = _spawn(*argv)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == run_cli(*argv).stdout.encode("utf-8")
+
+
+def test_a_child_writes_the_same_report_to_out_and_stdout(tmp_path):
+    target = tmp_path / "report.json"
+    child = _spawn("classify", "--k", "9", "--r", "13", "--format", "json", "--out", str(target))
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert target.read_bytes() == child.stdout
+    assert json.loads(child.stdout)["results"]["n"] == 60
+
+
+# how a child ends, by case: its argv, a shell redirection of its streams,
+# then its exit code and the start of its stdout and of its stderr (b"" for
+# nothing; a stderr that is not empty is one line). `period 10` fits in
+# stdout's buffer, so its first write to a full device is the final flush
+CHILD_EXITS = {
+    "refused-input": (["period", "1"], "", 2, b"", b"error: "),
+    "help": (["--help"], "", 0, b"usage: pisano-lab", b""),
+    "final-flush-to-a-full-device": (["period", "10"], ">/dev/full", 3, b"", b"error: "),
+    "final-flush-with-stderr-full-too": (["period", "10"], ">/dev/full 2>/dev/full", 3, b"", b""),
+    # a closed stdout is None in the child, which the final flush skips
+    "stdout-closed": (["period", "10"], ">&-", 4, b"", b"error: internal error: "),
+}
+
+
+@pytest.mark.parametrize("argv, redirect, code, out_head, err_head", CHILD_EXITS.values(), ids=CHILD_EXITS)
+def test_a_child_exits_with_the_code_of_main_or_of_its_final_flush(argv, redirect, code, out_head, err_head):
+    child = _spawn(*argv, shell_redirect=redirect)
+    assert child.returncode == code
+    assert child.stdout.startswith(out_head) and bool(child.stdout) == bool(out_head)
+    assert child.stderr.startswith(err_head) and child.stderr.count(b"\n") == bool(err_head), child.stderr
+
+
+def test_a_child_whose_final_flush_meets_a_closed_pipe_exits_3_quietly():
+    # the reader is gone before the child's first write, its final flush
+    argv = [sys.executable, "-m", "pisano_lab.cli", "period", "10"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as child:
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (3, b"")
+
+
 def test_sweep_counts(run_cli):
     code, out, *_ = run_cli("sweep")
     assert code == 0
@@ -398,9 +462,10 @@ def test_sweep_holds_no_row_list(fmt):
 
 
 def test_importing_the_cli_loads_no_dataclasses():
-    # dataclasses brings inspect, ast, dis and tokenize into every CLI start;
+    # dataclasses brings inspect, ast, dis and tokenize into every CLI start,
+    # and typing costs several ms of its own, though annotations need neither;
     # the child runs without site, so only the package's own imports count
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing"]
     root = str(Path(pisano_lab.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {root!r}); import pisano_lab.cli; "
