@@ -10,7 +10,10 @@ that final flush exits 3, the broken pipe with nothing on stderr.
 
 The parser holds the argument rules (`period` takes its modulus once,
 positionally or via --m; `diagram` requires --out and takes --frames or
---steps, not both) and exits 2 with its usage and error lines on stderr; a value the library refuses exits 2 with one `error:` line.
+--steps, not both) and exits 2 with its usage and error lines on stderr;
+a value the library refuses exits 2 with one `error:` line. Every
+`error:` line goes to stderr alone: when stderr was closed at the start,
+the line is dropped, never written to stdout, and the exit code stays.
 Every command prints plain text by default and the same content as JSON
 with --format json; --out writes the JSON report to a file (for diagram,
 --out is the SVG target instead). A JSON report is
@@ -426,6 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(message: object) -> None:
+    # print(file=None) would write to stdout, so a stderr closed at the start
+    # drops the line, as a stderr that cannot be written does
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -435,18 +446,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_BAD_ARGUMENTS
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); suppress the shutdown noise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO_FAILURE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_IO_FAILURE
     except Exception as exc:
         # a program bug, not bad input: one line, and a code of its own
-        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        _print_error(f"internal error: {exc!r}")
         return EXIT_INTERNAL_ERROR
 
 
@@ -468,11 +479,10 @@ def run() -> None:
             code = EXIT_IO_FAILURE
         except OSError as exc:
             code = EXIT_IO_FAILURE
-            if stream is sys.stdout and sys.stderr is not None:
+            if stream is sys.stdout:
                 # stderr is flushed next, in this loop; if it fails too, the
                 # line is lost, but the process still ends here
-                with suppress(OSError):
-                    sys.stderr.write(f"error: {exc}\n")
+                _print_error(exc)
     os._exit(code)
 
 

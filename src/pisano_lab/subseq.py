@@ -25,10 +25,6 @@ PARENT_PERIOD = pisano_period(10)
 # 60 copies reach index 59 + 59*59, the last term any (k, r) period reads
 _UNROLLED_PARENT = PARENT_PERIOD * CIRCLE_POINTS
 
-# the most terms is_cyclic_shift compares: at the cap its tokens of two
-# ranges peak near 8 MB; the package compares periods of at most 60 terms
-MAX_CYCLIC_SHIFT_TERMS = 100_000
-
 
 class _Record:
     """Base of the package's frozen records.
@@ -168,36 +164,22 @@ def dodecagon_tuple(k: int) -> tuple[int, ...]:
     return _fixed_jump_period(k, 5)
 
 
-def _tokens(values: Sequence[int], ids: dict[int, int]) -> str:
-    # an int of at most 64 bits is written as its hex; a longer one as "L" and
-    # its id in ids, which both sequences share, so it costs one dict entry,
-    # not a copy of its digits per term. operator.index reads True as 1,
-    # which it equals, and refuses a float
+def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True when b is a rotation of a (empty sequences match each other).
+
+    b is compared with each rotation of a, so the cost is at most 60
+    rotations of 60 terms. Anything but two sequences of ints, or a
+    sequence of more than CIRCLE_POINTS terms, read from len() before any
+    term, raises ValueError. operator.index reads True as 1, which it equals.
+    """
     try:
-        if len(values) <= MAX_CYCLIC_SHIFT_TERMS:
-            tokens = (
-                hex(value) if value.bit_length() <= 64 else f"L{ids.setdefault(value, len(ids))}"
-                for value in map(operator.index, values)
-            )
-            return ",".join(tokens) + ","
+        if len(a) <= CIRCLE_POINTS and len(b) <= CIRCLE_POINTS:
+            # lists, not tuples: tuple(map(...)) here raised the peak RSS of a
+            # `verify` child by about 0.1 MB
+            a, b = [*map(operator.index, a)], [*map(operator.index, b)]
+            return any(a[i:] + a[:i] == b for i in range(len(a) or 1))
     except TypeError:
         raise ValueError("is_cyclic_shift compares sequences of ints") from None
     except OverflowError:  # len() of a range longer than sys.maxsize
         pass
-    raise ValueError(f"is_cyclic_shift compares sequences of at most {MAX_CYCLIC_SHIFT_TERMS} terms")
-
-
-def is_cyclic_shift(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True when b is a rotation of a (empty sequences match each other).
-
-    Uses the doubling trick: b is a rotation of a exactly when it occurs
-    as a window of a concatenated with itself. Both are written as
-    comma-terminated tokens, at most 19 characters each, so one
-    C-level substring search, linear in the number of terms, finds a
-    window that starts on a term boundary; a window as long as the tokens
-    of a is a rotation of all of a. Anything but two sequences of ints, or
-    a sequence of more than MAX_CYCLIC_SHIFT_TERMS terms, raises ValueError.
-    """
-    ids: dict[int, int] = {}
-    a_tokens, b_tokens = _tokens(a, ids), _tokens(b, ids)
-    return len(a_tokens) == len(b_tokens) and "," + b_tokens in "," + a_tokens * 2
+    raise ValueError(f"is_cyclic_shift compares sequences of at most {CIRCLE_POINTS} terms")

@@ -225,11 +225,11 @@ def _child_env() -> dict[str, str]:
     return {**env, "PYTHONPATH": root}
 
 
-def _spawn(*argv: str, shell_redirect: str = "") -> subprocess.CompletedProcess:
+def _spawn(*argv: str, shell_redirect: str = "", **env: str) -> subprocess.CompletedProcess:
     command = [sys.executable, "-m", "pisano_lab.cli", *argv]
     if shell_redirect:
         command = ["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *command]
-    return subprocess.run(command, capture_output=True, env=_child_env(), timeout=60)
+    return subprocess.run(command, capture_output=True, env={**_child_env(), **env}, timeout=60)
 
 
 @pytest.mark.parametrize("argv", [("period", "10", "--format", "json"), ("sweep", "--format", "json")])
@@ -260,6 +260,11 @@ CHILD_EXITS = {
     "final-flush-with-stderr-full-too": (["period", "10"], ">/dev/full 2>/dev/full", 3, b"", b""),
     # a closed stdout is None in the child, which the final flush skips
     "stdout-closed": (["period", "10"], ">&-", 4, b"", b"error: internal error: "),
+    # a closed stderr is None in the child: the error line is dropped, not printed to stdout
+    "refused-input-with-stderr-closed": (["period", "1"], "2>&-", 2, b"", b""),
+    "unwritable-out-with-stderr-closed": (
+        ["classify", "--k", "0", "--r", "1", "--out", "/nonexistent/x.json"], "2>&-", 3, b"", b""
+    ),
 }
 
 
@@ -269,6 +274,13 @@ def test_a_child_exits_with_the_code_of_main_or_of_its_final_flush(argv, redirec
     assert child.returncode == code
     assert child.stdout.startswith(out_head) and bool(child.stdout) == bool(out_head)
     assert child.stderr.startswith(err_head) and child.stderr.count(b"\n") == bool(err_head), child.stderr
+
+
+def test_an_unbuffered_child_with_stderr_closed_exits_3_when_stdout_is_full():
+    # unbuffered, the first write fails inside main, whose error line then has
+    # nowhere to go; it once went to the full stdout and raised out of main
+    child = _spawn("period", "10", shell_redirect=">/dev/full 2>&-", PYTHONUNBUFFERED="1")
+    assert (child.returncode, child.stdout, child.stderr) == (3, b"", b"")
 
 
 def test_a_child_whose_final_flush_meets_a_closed_pipe_exits_3_quietly():

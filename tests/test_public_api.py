@@ -1,9 +1,16 @@
 import ast
+import enum
 import importlib.util
+import inspect
 import re
+import signal
+import typing
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pisano_lab
 from pisano_lab import SubsequenceSpec, compute_shift, star_polygon
@@ -89,3 +96,107 @@ def test_records_are_frozen_values(record, other, text):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert vars(record) == fields
+
+
+def _readme_caps() -> dict[str, int]:
+    # the rows of the README's cap table: `module.NAME` | 10**k or 1,000 | effect
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| ([\d,*]+) \| .+ \|$", readme, re.M)
+    caps = {}
+    for name, value in rows:
+        base, _, exponent = value.replace(",", "").partition("**")
+        caps[name] = int(base) ** int(exponent or 1)
+    return caps
+
+
+def test_readme_cap_table_holds_every_cap_at_its_value():
+    caps = _readme_caps()
+    live = {}
+    for name in caps:
+        module, constant = name.split(".")
+        live[name] = getattr(importlib.import_module(f"pisano_lab.{module}"), constant)
+    assert live == caps
+    # a cap is a module-level constant named for a maximum or a bit count, or
+    # the 60 points of the circle, which bound is_cyclic_shift
+    defined = {
+        f"{path.stem}.{target.id}"
+        for path in Path(pisano_lab.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z_]*(MAX|BITS)[A-Z_]*", target.id)
+    }
+    assert set(caps) == defined | {"subseq.CIRCLE_POINTS"}
+
+
+# the contract of every public callable: any arguments, of the arity it takes,
+# give a value of the type its signature documents, or ValueError, in a
+# bounded time (the slowest accepted calls, such as pisano_period(10**6) or
+# pisano_length near 10**12, take under a second)
+CALL_SECONDS = 5
+
+INTS = st.integers(-70, 70) | st.integers(-(2**4096), 2**4096)
+# shorter ints for the terms of a sequence: 70 of 4,097 bits would not fit in
+# the 8 KB of data that hypothesis draws an example from, so no list could pass 60
+TERMS = st.integers(-70, 70) | st.integers(-(2**256), 2**256)
+ARGUMENTS = st.one_of(
+    INTS,
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.lists(TERMS, max_size=70),
+    st.lists(TERMS, max_size=70).map(tuple),
+    st.integers(0, 10**30).map(range),
+    st.builds(SubsequenceSpec, st.integers(0, 59), st.integers(1, 59)),
+)
+
+CALLABLES = [name for name in pisano_lab.__all__ if callable(getattr(pisano_lab, name))]
+
+
+def _arities(call: object) -> range:
+    # an enum is called with one value (with two it makes a new enum) and an
+    # exception class with one message; a record takes its fields, and a
+    # function its required positional arguments, optionally the others too
+    if isinstance(call, enum.EnumMeta) or isinstance(call, type) and issubclass(call, Exception):
+        return range(1, 2)
+    positional = [p for p in inspect.signature(call).parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    required = sum(p.default is p.empty for p in positional)
+    return range(required, (required if isinstance(call, type) else len(positional)) + 1)
+
+
+def _documented_type(call: object) -> tuple[type, tuple]:
+    if isinstance(call, type):
+        return call, ()
+    hint = typing.get_type_hints(call)["return"]
+    return typing.get_origin(hint) or hint, typing.get_args(hint)
+
+
+def _overran(signum: int, frame: object) -> None:
+    raise TimeoutError(f"the call took more than {CALL_SECONDS} s")
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_public_callable_gives_its_documented_type_or_value_error(name, data):
+    call = getattr(pisano_lab, name)
+    arity = data.draw(st.sampled_from(_arities(call)))
+    args = data.draw(st.lists(ARGUMENTS, min_size=arity, max_size=arity))
+    kind, items = _documented_type(call)
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+    try:
+        value = call(*args)
+        if kind is Iterator:
+            # a stream does its work as it is read
+            assert isinstance(value, Iterator)
+            assert all(type(item) is items[0] for item in value)
+        else:
+            assert type(value) is kind, value
+    except ValueError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
