@@ -48,8 +48,9 @@ text), written by one `%` of a fixed template: the JSON object at its
 indent, or the text line.
 
 `diagram` reports the SVG files it wrote (text: one `wrote PATH` line
-each). With --frames it writes each construction frame as it is made, so,
-like the residues and the rows above, the documents are not held as a list.
+each), each path opened and reported as --out spells it; an empty --out
+exits 3 in either mode. With --frames it writes each construction frame as
+it is made, so, like the residues and the rows above, no list of them is held.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext, suppress
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 # imported eagerly: perfbench/tracing.py expects _checks loaded once cli is imported
 from . import _checks
@@ -315,27 +315,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_diagram(args: argparse.Namespace) -> int:
     """Write the diagram to --out, or with --frames frame s of the walk to
-    `<base>-<s:02d>.svg`, base being --out less a `.svg` suffix. An empty
-    --out is refused before any frame is made; then each frame is written,
-    and dropped, before the next one is made."""
+    `<base>-<s:02d>.svg`, base being --out less a `.svg` suffix: each path as
+    named. An empty --out is refused before any frame is made, a refused
+    --steps writes no file, and each frame is dropped once it is written."""
     spec = SubsequenceSpec(k=args.k, r=args.r)
-    out = Path(args.out)
+    if not args.out:
+        raise FileNotFoundError("an empty --out path names no file")
     results: dict
     if args.frames:
-        if not args.out:
-            # Path('') is '.', which would put the frames in the working directory
-            raise FileNotFoundError("an empty --out path names no file")
-        base = out.with_suffix("") if out.suffix == ".svg" else out
+        base = args.out[:-4] if os.path.splitext(args.out)[1] == ".svg" else args.out
         files = []
         for index, document in enumerate(render_frames(spec)):
-            path = Path(f"{base}-{index:02d}.svg")
-            path.write_bytes(document)
+            files.append(f"{base}-{index:02d}.svg")
+            with open(files[-1], "wb") as out:
+                out.write(document)
             del document  # before the next frame is made: one document is alive at a time
-            files.append(str(path))
         results = {"files": files, "frame_count": len(files)}
     else:
-        out.write_bytes(render_svg(spec, step_limit=args.steps))
-        files = [str(out)]
+        document = render_svg(spec, step_limit=args.steps)
+        with open(args.out, "wb") as out:
+            out.write(document)
+        files = [args.out]
         # render_svg has refused any step count outside [1, n]
         results = {"files": files, "edge_count": star_polygon(spec).n if args.steps is None else args.steps}
     report = {

@@ -29,16 +29,19 @@ LONG_INDEX_BITS = 100_000
 MAX_LISTED_MODULUS = 10**6
 
 
+def _spell_int(n: int) -> str:
+    # str() refuses an int of more than 4300 digits, so one of over 10,000 bits is named by its bits
+    return str(n) if n.bit_length() <= 10_000 else f"an int of {n.bit_length()} bits"
+
+
 def _require_modulus(m: int) -> None:
     # an exact type test, so bool (an int subclass) is refused too
     if type(m) is not int:
         raise InvalidModulusError(f"modulus must be an int, got {m!r}")
-    if m < 2 or m > MAX_MODULUS:
-        # str() refuses an int of more than 4300 digits, so a longer one is named by its bits
-        got = m if m.bit_length() <= 10_000 else f"an int of {m.bit_length()} bits"
-        if m < 2:
-            raise InvalidModulusError(f"modulus must be at least 2, got {got}")
-        raise InvalidModulusError(f"modulus must be at most {MAX_MODULUS}, got {got}")
+    if m < 2:
+        raise InvalidModulusError(f"modulus must be at least 2, got {_spell_int(m)}")
+    if m > MAX_MODULUS:
+        raise InvalidModulusError(f"modulus must be at most {MAX_MODULUS}, got {_spell_int(m)}")
 
 
 def _require_index(n: int) -> None:

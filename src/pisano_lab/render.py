@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
+from .core import _spell_int
 from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, _vertex_count
 
 CANVAS = 600
@@ -96,7 +97,7 @@ def render_svg(spec: SubsequenceSpec, step_limit: int | None = None) -> bytes:
         if type(step_limit) is not int:
             raise ValueError(f"step_limit must be an int, got {step_limit!r}")
         if not 1 <= step_limit <= len(edges):
-            raise ValueError(f"step_limit must be in [1, {len(edges)}], got {step_limit}")
+            raise ValueError(f"step_limit must be in [1, {len(edges)}], got {_spell_int(step_limit)}")
         edges = edges[:step_limit]
     head, points = circle_layout()
     return _document(head, _edge_lines(edges, points))

@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 
-from .core import _require_index, pisano_period
+from .core import _require_index, _spell_int, pisano_period
 
 CIRCLE_POINTS = 60  # period length of the Fibonacci sequence mod 10
 
@@ -71,9 +71,9 @@ class SubsequenceSpec(_Record):
         if type(k) is not int or type(r) is not int:
             raise ValueError(f"k and r must be ints, got k={k!r}, r={r!r}")
         if not 0 <= k <= 59:
-            raise ValueError(f"start index k must be in [0, 59], got {k}")
+            raise ValueError(f"start index k must be in [0, 59], got {_spell_int(k)}")
         if not 1 <= r <= 59:
-            raise ValueError(f"jump size r must be in [1, 59], got {r}")
+            raise ValueError(f"jump size r must be in [1, 59], got {_spell_int(r)}")
         # made 13,501 times per `verify`: two item stores cost less than update()
         fields = self.__dict__
         fields["k"], fields["r"] = k, r

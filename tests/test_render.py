@@ -44,6 +44,12 @@ def test_build_scene_rejects_bad_step_limit(bad_limit):
         render_svg(SubsequenceSpec(k=3, r=25), step_limit=bad_limit)
 
 
+def test_render_svg_names_a_step_limit_too_long_to_print():
+    # str() refuses an int of more than 4300 digits; the message names it by its bits
+    with pytest.raises(ValueError, match=r"^step_limit must be in \[1, 12\], got an int of 16610 bits$"):
+        render_svg(SubsequenceSpec(k=3, r=25), step_limit=10**5000)
+
+
 def test_edges_follow_the_walk():
     for k in range(60):
         for r in range(1, 60):

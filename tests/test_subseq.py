@@ -46,6 +46,15 @@ def test_spec_validation(k, r):
 
 
 @pytest.mark.parametrize(
+    "k, r, name", [(10**5000, 1, "start index k"), (0, -(10**5000), "jump size r")], ids=["k", "r"]
+)
+def test_spec_names_an_int_too_long_to_print(k, r, name):
+    # str() refuses an int of more than 4300 digits; the message names it by its bits
+    with pytest.raises(ValueError, match=f"^{name} must be in .*, got an int of 16610 bits$"):
+        SubsequenceSpec(k=k, r=r)
+
+
+@pytest.mark.parametrize(
     "entry",
     [
         subsequence_period,
