@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .core import _spell_int
-from .subseq import CIRCLE_POINTS, PARENT_PERIOD, SubsequenceSpec, _require_spec, _vertex_count
+from .core import _spell_int, _spell_value
+from .subseq import CIRCLE_POINTS, PARENT_PERIOD, _VERTEX_COUNTS, SubsequenceSpec, _require_spec
 
 CANVAS = 600
 CENTER = 300.0
@@ -75,7 +75,7 @@ def build_scene(spec: SubsequenceSpec) -> tuple[tuple[int, int], ...]:
     """
     _require_spec(spec)
     k, r = spec.k, spec.r
-    walk = _CIRCLE_INDICES[k : k + r * (_vertex_count(r) + 1) : r]
+    walk = _CIRCLE_INDICES[k : k + r * (_VERTEX_COUNTS[r] + 1) : r]
     return tuple([*zip(walk, walk[1:])])
 
 
@@ -95,7 +95,7 @@ def render_svg(spec: SubsequenceSpec, step_limit: int | None = None) -> bytes:
     if step_limit is not None:
         # an exact type test, so bool (an int subclass) is refused too
         if type(step_limit) is not int:
-            raise ValueError(f"step_limit must be an int, got {step_limit!r}")
+            raise ValueError(f"step_limit must be an int, got {_spell_value(step_limit)}")
         if not 1 <= step_limit <= len(edges):
             raise ValueError(f"step_limit must be in [1, {len(edges)}], got {_spell_int(step_limit)}")
         edges = edges[:step_limit]

@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 
-from .core import _require_index, _spell_int, pisano_period
+from .core import _require_index, _spell_int, _spell_value, pisano_period
 
 CIRCLE_POINTS = 60  # period length of the Fibonacci sequence mod 10
 
@@ -24,6 +24,9 @@ PARENT_PERIOD = pisano_period(10)
 
 # 60 copies reach index 59 + 59*59, the last term any (k, r) period reads
 _UNROLLED_PARENT = PARENT_PERIOD * CIRCLE_POINTS
+
+# the walk in steps of r closes after 60 / gcd(r, 60) points: entry r of this table
+_VERTEX_COUNTS = tuple(CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS) for r in range(CIRCLE_POINTS))
 
 
 class _Record:
@@ -69,12 +72,12 @@ class SubsequenceSpec(_Record):
 
     def __init__(self, k: int, r: int) -> None:
         if type(k) is not int or type(r) is not int:
-            raise ValueError(f"k and r must be ints, got k={k!r}, r={r!r}")
+            raise ValueError(f"k and r must be ints, got k={_spell_value(k)}, r={_spell_value(r)}")
         if not 0 <= k <= 59:
             raise ValueError(f"start index k must be in [0, 59], got {_spell_int(k)}")
         if not 1 <= r <= 59:
             raise ValueError(f"jump size r must be in [1, 59], got {_spell_int(r)}")
-        # made 13,501 times per `verify`: two item stores cost less than update()
+        # made 13,501 times per `verify`, positionally: two item stores cost less than update()
         fields = self.__dict__
         fields["k"], fields["r"] = k, r
 
@@ -82,7 +85,7 @@ class SubsequenceSpec(_Record):
 def _require_spec(spec: SubsequenceSpec) -> None:
     # only a SubsequenceSpec has had its k and r checked by its __init__
     if not isinstance(spec, SubsequenceSpec):
-        raise ValueError(f"expected a SubsequenceSpec, got {spec!r}")
+        raise ValueError(f"expected a SubsequenceSpec, got {_spell_value(spec)}")
 
 
 class DiagramType(enum.Enum):
@@ -103,11 +106,6 @@ class StarPolygon(_Record):
         self.__dict__.update(n=n, q=q, diagram_type=diagram_type, convex=convex)
 
 
-def _vertex_count(r: int) -> int:
-    # the walk in steps of r closes after 60 / gcd(r, 60) points
-    return CIRCLE_POINTS // math.gcd(r, CIRCLE_POINTS)
-
-
 def star_polygon(spec: SubsequenceSpec) -> StarPolygon:
     """Classify the diagram drawn by jump size r (k never matters).
 
@@ -118,7 +116,7 @@ def star_polygon(spec: SubsequenceSpec) -> StarPolygon:
     """
     _require_spec(spec)
     r = spec.r
-    n = _vertex_count(r)
+    n = _VERTEX_COUNTS[r]
     q = r * n // CIRCLE_POINTS  # r / gcd(r, 60)
     if n == CIRCLE_POINTS:
         diagram_type = DiagramType.TYPE3
@@ -140,7 +138,7 @@ def subsequence_period(spec: SubsequenceSpec) -> tuple[int, ...]:
     """
     _require_spec(spec)
     k, r = spec.k, spec.r
-    return _UNROLLED_PARENT[k : k + r * _vertex_count(r) : r]
+    return _UNROLLED_PARENT[k : k + r * _VERTEX_COUNTS[r] : r]
 
 
 def _fixed_jump_period(k: int, r: int) -> tuple[int, ...]:

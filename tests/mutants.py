@@ -293,6 +293,22 @@ MUTANTS = [
         period_wrong_at(59, 59, 14),
         "(k=59, r=59): zeros at [29, 44, 59]",
     ),
+    # j0 - 60 is the first zero's circle position less a lap, no index of the
+    # period: a slice of the period from it would wrap round to the real zeros
+    Mutant(
+        C.check_four_zeros,
+        "first_zero_index",
+        corrupt_at(spec(59, 59), lambda j0: j0 - 60),
+        "(k=59, r=59): zeros at [14, 29, 44, 59]",
+    ),
+    # a fifth zero, at j = 0, leaves the four at j0 + 15i in place
+    Mutant(
+        C.check_four_zeros,
+        "subsequence_period",
+        corrupt_at(spec(59, 59), lambda terms: (0,) + terms[1:]),
+        "(k=59, r=59): zeros at [0, 14, 29, 44, 59]",
+        tag="fifth-zero",
+    ),
     Mutant(
         C.check_zero_subscripts,
         "first_zero_index",
@@ -305,6 +321,14 @@ MUTANTS = [
         "subsequence_period",
         period_wrong_at(59, 59, 0),
         "(k=59, r=59): no adjacent 0, 1 pair",
+    ),
+    # a term that is no byte: the check must fail, not raise from bytes()
+    Mutant(
+        C.check_adjacent_zero_one,
+        "subsequence_period",
+        corrupt_at(spec(59, 59), lambda terms: terms[:-1] + (-1,)),
+        "(k=59, r=59): a term is not an int in [0, 255]",
+        tag="no-byte",
     ),
     # a period without a zero: the check must fail, not raise StopIteration
     Mutant(

@@ -7,6 +7,8 @@ catch. The last tests run the whole battery in this process, as `verify`
 does, and show how a check that raises ends the command.
 """
 
+import collections
+
 import pytest
 
 from pisano_lab import _checks
@@ -62,6 +64,70 @@ def test_one_fib_mod_table_serves_a_run(monkeypatch):
     calls = 0
     assert _checks.check_negative_reflection().passed
     assert calls == 29 * 401  # a check called on its own builds its own
+
+
+# the calls each check makes, in one run, through the names `_checks` binds,
+# into the functions it tests: a check made cheaper still tests every case
+COUNTED = ("fib_mod", "subsequence_period", "verify_quasi", "build_scene", "compute_shift", "brute_force_shift")
+CALLS_PER_CHECK = {
+    "fib-recurrence": {"fib_mod": 29 * 401},
+    "negative-index-reflection": {},  # reads the table fib-recurrence built
+    "even-terms-at-multiples-of-3": {"fib_mod": 1001},
+    "fives-at-multiples-of-5": {"fib_mod": 1001},
+    "index-addition-identity": {"fib_mod": 241},
+    "fifteen-step-multiplier": {"fib_mod": 181},
+    "antipodal-sums": {},
+    "period-contents": {"fib_mod": 2351},
+    "polygon-parameters-vs-walk": {},
+    "reversed-jump-periods": {"subsequence_period": 3540},
+    "twenty-vertex-steps": {},
+    "square-tuples": {},
+    "pentagon-tuples": {},
+    "dodecagon-tuples": {},
+    "forward-recurrence-guarantee": {"verify_quasi": 600},
+    "reverse-recurrence-guarantee": {"verify_quasi": 600},
+    "forward-seed-identity": {"fib_mod": 68},
+    "reverse-seed-identity": {"fib_mod": 66},
+    "negative-index-parity": {"fib_mod": 402},
+    "alignment-oracle-agreement": {"compute_shift": 960, "brute_force_shift": 960},
+    "unit-digit-law": {"fib_mod": 16},
+    "unit-values-are-units": {"fib_mod": 16},
+    "inverse-anchor-positions": {"fib_mod": 48},
+    "four-equally-spaced-zeros": {"subsequence_period": 960},
+    "zero-subscript-classes": {},
+    "adjacent-zero-one": {"subsequence_period": 960},
+    "first-zero-minimality": {"subsequence_period": 960},
+    "unit-group-tables": {},
+    "diagram-vertex-counts": {"build_scene": 177},
+    "diagram-labels": {"fib_mod": 60},
+    "diagram-rotation-equivalence": {"build_scene": 3540},
+    "diagram-determinism": {},
+}
+
+
+def test_each_check_makes_its_calls(monkeypatch):
+    calls = collections.Counter()
+    for name in COUNTED:
+
+        def counted(*args, real=getattr(_checks, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_checks, name, counted)
+    made = {}
+
+    def tallied(check):
+        def run():
+            calls.clear()
+            result = check()
+            made[result.name] = dict(calls)
+            return result
+
+        return run
+
+    monkeypatch.setattr(_checks, "ALL_CHECKS", tuple(map(tallied, CHECKS)))
+    assert all(result.passed for result in _checks.run_all())
+    assert made == CALLS_PER_CHECK
 
 
 def test_rotation_check_compares_undirected_edges(monkeypatch):

@@ -46,6 +46,20 @@ def test_fib_mod_matches_slow_iteration():
             assert fib_mod(n, m) == slow_fib(n) % m, (n, m)
 
 
+def test_fib_head_holds_f_0_to_32_exactly():
+    assert core._FIB_HEAD == tuple(slow_fib(n) for n in range(33))
+
+
+# _fib_pair reads the top five bits of n from its head table and doubles over
+# the rest, so each n around a power of two moves the split of its bits
+@pytest.mark.parametrize("m", [2, 10, 97, 10**12])
+def test_fib_mod_matches_slow_iteration_around_powers_of_two(m):
+    for k in range(13):
+        for magnitude in (2**k - 1, 2**k, 2**k + 1):
+            for n in (magnitude, -magnitude):
+                assert fib_mod(n, m) == slow_fib(n) % m, (n, m)
+
+
 def test_lucas_mod_matches_slow_iteration():
     for n in range(-50, 51):
         expected = (slow_fib(n - 1) + slow_fib(n + 1)) % 10

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pisano_lab
-from pisano_lab import SubsequenceSpec, compute_shift, star_polygon
+from pisano_lab import SubsequenceSpec, compute_shift, fib_mod, pisano_length, render_svg, star_polygon
 from pisano_lab._checks import CheckResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,3 +200,38 @@ def test_every_public_callable_gives_its_documented_type_or_value_error(name, da
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class LongInt(int):
+    """An int subclass, which the exact type tests refuse."""
+
+
+# repr() of a long int subclass runs int's str(), which refuses more than 4300
+# digits; each refusal names the argument and spells the value by its bits
+LONG = LongInt(10**5000)
+SPELLED = "an int of 16610 bits of type LongInt"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SubsequenceSpec(k=LONG, r=1), f"k and r must be ints, got k={SPELLED}, r=1"),
+        (lambda: SubsequenceSpec(k=0, r=LONG), f"k and r must be ints, got k=0, r={SPELLED}"),
+        (lambda: pisano_length(LONG), f"modulus must be an int, got {SPELLED}"),
+        (lambda: fib_mod(LONG, 10), f"index n must be an int, got {SPELLED}"),
+        (lambda: fib_mod(3, LONG), f"modulus must be an int, got {SPELLED}"),
+        (
+            lambda: render_svg(SubsequenceSpec(k=3, r=25), step_limit=LONG),
+            f"step_limit must be an int, got {SPELLED}",
+        ),
+        (lambda: star_polygon(10**5000), "expected a SubsequenceSpec, got an int of 16610 bits of type int"),
+    ],
+    ids=[
+        "spec-k", "spec-r", "pisano_length-m", "fib_mod-n", "fib_mod-m",
+        "render_svg-step_limit", "star_polygon-spec",
+    ],
+)
+def test_refusals_name_an_int_too_long_to_print(call, message):
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == message
