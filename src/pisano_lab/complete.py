@@ -29,9 +29,10 @@ class NotAUnitError(ValueError):
 
 
 class OracleFailureError(RuntimeError):
-    """Raised when the brute-force search finds no, or several, alignments.
+    """Raised when the brute-force search finds no, or several, alignments,
+    or a period term that is not a residue it can search.
 
-    Either outcome would contradict a proved fact about these periods, so
+    Any such outcome would contradict a proved fact about these periods, so
     it signals an implementation bug rather than bad user input.
     """
 
@@ -176,13 +177,19 @@ def brute_force_shift(spec: SubsequenceSpec) -> tuple[ShiftDirection, int]:
     exact match against a 60-term window of the parent period read
     forward or in reverse. Zero or multiple matches raise
     OracleFailureError, since the parent period contains exactly one
-    adjacent (0, 1) pair in each direction. The residues are bytes, so
-    each direction is searched by repeated C-level `bytes.find` calls,
-    each resuming one past the last match, which finds every matching
-    window.
+    adjacent (0, 1) pair in each direction. So does a period term that is
+    not an int in [0, 255], which no residue mod 10 can be. The residues
+    are bytes, so each direction is searched by repeated C-level
+    `bytes.find` calls, each resuming one past the last match, which finds
+    every matching window.
     """
     _require_unit(spec)
-    terms = bytes(subsequence_period(spec))
+    try:
+        terms = bytes(subsequence_period(spec))
+    except (TypeError, ValueError):
+        raise OracleFailureError(
+            f"a term of the period of (k={spec.k}, r={spec.r}) is not an int in [0, 255]"
+        ) from None
     # built on each call from the module's PARENT_PERIOD, which tests replace
     forward = bytes(PARENT_PERIOD) * 2
     # reverse[start + j] is PARENT_PERIOD[(shift - j) % 60] for start = 59 - shift

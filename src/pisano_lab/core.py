@@ -57,18 +57,18 @@ def _require_index(n: int) -> None:
         raise ValueError(f"index n must be an int, got {_spell_value(n)}")
 
 
-# F(0) .. F(32), exact: _fib_pair reads the pair its top five bits of n name,
-# so an n below 32 takes no doubling step and a larger n five fewer
-_FIB_HEAD = (
-    0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
-    4181, 6765, 10946, 17711, 28657, 46368, 75025, 121393, 196418, 317811, 514229,
-    832040, 1346269, 2178309,
-)
+# F(0) .. F(256), exact: fib_mod reads an |n| of at most 256 here with no
+# doubling step, and _fib_pair reads the pair the top eight bits of a larger n
+# name, so it takes eight fewer steps
+_FIB_HEAD = [0, 1]
+while len(_FIB_HEAD) <= 256:
+    _FIB_HEAD.append(_FIB_HEAD[-2] + _FIB_HEAD[-1])
+_FIB_HEAD = tuple(_FIB_HEAD)
 
 
 def _fib_pair(n: int, m: int) -> tuple[int, int]:
     """(F(n) mod m, F(n+1) mod m) for n >= 0 and m >= 2, by iterative fast doubling."""
-    rest = bin(n)[7:]  # the bits of n below its top five
+    rest = bin(n)[10:]  # the bits of n below its top eight
     head = n >> len(rest)
     a, b = _FIB_HEAD[head] % m, _FIB_HEAD[head + 1] % m
     for bit in rest:
@@ -85,20 +85,25 @@ def _fib_pair(n: int, m: int) -> tuple[int, int]:
 def fib_mod(n: int, m: int) -> int:
     """F(n) mod m for any integer n, including negative indices, and 2 <= m <= MAX_MODULUS.
 
-    Negative indices go through the reflection F(-n) = (-1)**(n+1) * F(n),
-    so one O(log |n|) fast-doubling pass covers the whole integer line.
-    An n of more than LONG_INDEX_BITS bits is first reduced mod
-    pisano_length(m), which is exact, as F mod m repeats every pi(m) terms
-    on the whole integer line. So no n costs more than one pisano_length
-    or one pass over LONG_INDEX_BITS bits at m near MAX_MODULUS: at most
-    about 0.12 s on a shared 2-vCPU VM, whatever n is. A modulus above
-    MAX_MODULUS raises InvalidModulusError.
+    Negative indices go through the reflection F(-n) = (-1)**(n+1) * F(n).
+    An |n| of at most 256 is one lookup of the exact F(|n|), reduced mod m;
+    a larger |n| takes one O(log |n|) fast-doubling pass. An n of more
+    than LONG_INDEX_BITS bits is first reduced mod pisano_length(m), which
+    is exact, as F mod m repeats every pi(m) terms on the whole integer
+    line. So no n costs more than one pisano_length or one pass over
+    LONG_INDEX_BITS bits at m near MAX_MODULUS: at most about 0.12 s on a
+    shared 2-vCPU VM, whatever n is. A modulus above MAX_MODULUS raises
+    InvalidModulusError.
     """
     # the guards call out only on a bad argument: verify makes 17,224 calls
     if type(m) is not int or m < 2 or m > MAX_MODULUS:
         _require_modulus(m)
     if type(n) is not int:
         _require_index(n)
+    if 0 <= n < 257:  # 257 = len(_FIB_HEAD)
+        return _FIB_HEAD[n] % m
+    if -257 < n < 0:
+        return (_FIB_HEAD[-n] if n & 1 else -_FIB_HEAD[-n]) % m
     if n.bit_length() > LONG_INDEX_BITS:
         n %= pisano_length(m)  # nonnegative, so the reflection below is skipped
     if n >= 0:

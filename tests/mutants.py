@@ -103,6 +103,11 @@ def flipped(values):
     return values[::-1]
 
 
+def last_as_float(values):
+    # an int-valued float equals the int it stands for, but is no term of a residue tuple
+    return values[:-1] + (float(values[-1]),)
+
+
 def counterclockwise(real):
     return lambda p: 90.0 + 6.0 * (p % 60)
 
@@ -203,11 +208,26 @@ MUTANTS = [
         corrupt_at((59,), flipped),
         "k=59: (3, 9, 7, 1) is not a rotation of the gcd=1 class",
     ),
+    # a float that is_cyclic_shift refuses: the check must fail, not raise ValueError
+    Mutant(
+        C.check_square_tuples,
+        "square_tuple",
+        corrupt_at((59,), last_as_float),
+        "k=59: (1, 7, 9, 3.0) is not a rotation of the gcd=1 class",
+        tag="float",
+    ),
     Mutant(
         C.check_pentagon_tuples,
         "pentagon_tuple",
         corrupt_at((59,), flipped),
         "k=59: (3, 5, 7, 9, 1) is not a rotation of its class",
+    ),
+    Mutant(
+        C.check_pentagon_tuples,
+        "pentagon_tuple",
+        corrupt_at((59,), last_as_float),
+        "k=59: (1, 9, 7, 5, 3.0) is not a rotation of its class",
+        tag="float",
     ),
     Mutant(
         C.check_dodecagon_tuples,
@@ -222,6 +242,13 @@ MUTANTS = [
         corrupt_at((55,), term_off(11)),
         "k=55: expected a rotation of the 0,5,5 pattern",
         tag="zero-five",
+    ),
+    Mutant(
+        C.check_dodecagon_tuples,
+        "dodecagon_tuple",
+        corrupt_at((59,), last_as_float),
+        "k=59: expected a rotation of the Lucas period",
+        tag="float",
     ),
     Mutant(
         C.check_forward_guarantee,
@@ -261,6 +288,15 @@ MUTANTS = [
         corrupt_at(spec(59, 59), lambda terms: (0,) * 60),
         "(k=59, r=59): oracle failed: expected exactly one alignment for (k=59, r=59), found 0",
         module=complete,
+    ),
+    # a term that is no byte: the oracle must report a failure, not raise from bytes()
+    Mutant(
+        C.check_alignment_agreement,
+        "subsequence_period",
+        corrupt_at(spec(59, 59), lambda terms: terms[:-1] + (-1,)),
+        "(k=59, r=59): oracle failed: a term of the period of (k=59, r=59) is not an int in [0, 255]",
+        module=complete,
+        tag="no-byte",
     ),
     Mutant(
         C.check_unit_digit_law, "fib_mod", fib_mod_wrong_at(59, 10), "r=59: F(r) mod 10 is 2, expected 1"

@@ -11,7 +11,7 @@ import collections
 
 import pytest
 
-from pisano_lab import _checks
+from pisano_lab import _checks, complete
 from pisano_lab.cli import main
 
 from mutants import MUTANTS, corrupt_at, spec
@@ -142,6 +142,23 @@ def test_run_all_reports_every_check_in_order(verify_run):
     assert len(results) == len(CHECKS) == 32
     # in ALL_CHECKS order, as the report of the session's verify run lists them
     assert [result.__dict__ for result in results] == verify_run.report["results"]["checks"]
+
+
+# a term of the wrong kind must fail its check: a ValueError raised out of a
+# check would end `verify` with exit 2 and no report, as if its arguments were bad
+@pytest.mark.parametrize(
+    "mutant",
+    [m for m in MUTANTS if m.tag == "float" or (m.tag, m.module) == ("no-byte", complete)],
+    ids=lambda m: m.check.__name__,
+)
+def test_a_term_of_the_wrong_kind_fails_verify_with_exit_1(capsys, monkeypatch, mutant):
+    monkeypatch.setattr(mutant.module, mutant.attr, mutant.bug(getattr(mutant.module, mutant.attr)))
+    code = main(["verify"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        f"FAIL {mutant.check().name}: {mutant.detail}"
+    ]
 
 
 def check_that_raises():

@@ -40,17 +40,21 @@ def test_lucas_mod_examples(n, m, expected):
     assert lucas_mod(n, m) == expected
 
 
+# fib_mod reads an |n| of at most 256 from the head table, with the reflection
+# for a negative n, and doubles from the table above it: [-300, 300] crosses
+# both edges of the table, +-256 and +-257, on either sign
 def test_fib_mod_matches_slow_iteration():
-    for m in (2, 3, 5, 7, 10, 11, 60, 97):
-        for n in range(-100, 101):
-            assert fib_mod(n, m) == slow_fib(n) % m, (n, m)
+    for n in range(-300, 301):
+        value = slow_fib(n)
+        for m in (2, 3, 5, 7, 10, 11, 60, 97, 10**12):
+            assert fib_mod(n, m) == value % m, (n, m)
 
 
-def test_fib_head_holds_f_0_to_32_exactly():
-    assert core._FIB_HEAD == tuple(slow_fib(n) for n in range(33))
+def test_fib_head_holds_f_0_to_256_exactly():
+    assert core._FIB_HEAD == tuple(slow_fib(n) for n in range(257))
 
 
-# _fib_pair reads the top five bits of n from its head table and doubles over
+# _fib_pair reads the top eight bits of n from its head table and doubles over
 # the rest, so each n around a power of two moves the split of its bits
 @pytest.mark.parametrize("m", [2, 10, 97, 10**12])
 def test_fib_mod_matches_slow_iteration_around_powers_of_two(m):
